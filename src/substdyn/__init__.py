@@ -14,8 +14,7 @@ The main entry points are:
 """
 
 from .core import PointedWord, Substitution, Word, parse_substitution, load_substitution
-from .language import (LanguageTable, build_language, is_admissible,
-                       periodic_point_search)
+from .language import LanguageTable, is_admissible, periodic_point_search
 from .classify import (LetterClassification, MinimalityResult, SeedResult,
                        TamenessReport, WildWitness, classify_letters,
                        decide_tameness, find_seed, is_minimal,
@@ -45,7 +44,7 @@ __all__ = [
     "LetterClassification", "MinimalityResult", "PointedWord",
     "PrimitivizationResult", "ReturnWordSystem", "SeedResult", "Substitution",
     "TamenessReport", "WildWitness", "Word", "border_forcing_level",
-    "brute_force_canonical_sets", "build_complex", "build_language",
+    "brute_force_canonical_sets", "build_complex",
     "build_psi", "build_theta", "cis_canonicalize", "classify_letters",
     "collar", "complex_to_dot", "corpus", "decide_tameness",
     "diagram_compare", "direct_limit", "enumerate_cis", "errors",

@@ -18,7 +18,7 @@ from .classify import decide_tameness
 from .collar import CollaredSubstitution, collar, border_forcing_level
 from .errors import EmptySubshiftError, InconsistentRuleError, WildInputError
 from .graphs import UnionFind
-from .language import LanguageTable
+from .language import LanguageTable, periodic_point_search, periodic_search_length
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,11 @@ def inverse_limit_presentation(sub: Substitution, radius: int | None = None,
     if assume_recognisable:
         status = "assumed"
     else:
-        from .language import periodic_point_search
-        hits = periodic_point_search(sub, min(6, 2 + sub.max_image_len))
+        period_bound = min(6, 2 + sub.max_image_len)
+        search_table = report.table
+        if not search_table.is_default(sub, periodic_search_length(sub, period_bound)):
+            search_table = None
+        hits = periodic_point_search(sub, period_bound, table=search_table)
         status = "evidenced" if not hits else "unknown"
     return InverseLimitPresentation(collared, complex_, cell_map, h1,
                                     level, n_sigma, status)

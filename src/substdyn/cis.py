@@ -13,6 +13,7 @@ by a downward deletion closure from the full complex.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import intlin
@@ -343,10 +344,7 @@ def enumerate_cis(collared: CollaredSubstitution,
             warnings.append(f"dropped a size-{len(k)} canonical set that is "
                             "not image-periodic (margin artifact)")
     members = [k for k in members if periods[k] is not None]
-    power = 1
-    for k in members:
-        p = periods[k]
-        power = power * p // _gcd(power, p)
+    power = math.lcm(*(periods[k] for k in members))
 
     nodes = []
     graph = complex_.graph
@@ -381,13 +379,7 @@ def enumerate_cis(collared: CollaredSubstitution,
                       order=order, power=power,
                       inclusion_arrows=inclusion_arrows,
                       quotient_arrows=quotient_arrows,
-                      exact=collared.table.legal_exact, warnings=warnings)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+                      exact=context.exact, warnings=warnings)
 
 
 def _cycle_vectors_by_edge(h1: H1Presentation, graph: Multigraph):

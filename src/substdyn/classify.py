@@ -12,10 +12,11 @@ whose image ends (starts) in a bounded letter lies on an r-cycle (l-cycle).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import PointedWord, Substitution, Word
-from .errors import EmptySubshiftError, MarginError, WildInputError, WitnessError
+from .errors import (EmptySubshiftError, MarginError, SubstdynError,
+                     WildInputError, WitnessError)
 from .graphs import cyclic_nodes, forward_closure
 from .language import LanguageTable, periodic_point_search
 
@@ -92,10 +93,18 @@ class TamenessReport:
     n_sigma: int | None = None
     empty_subshift: bool = False
     exact: bool = True
+    # the table the bounded legal words were read from, for callers that
+    # would otherwise build the same table again
+    table: LanguageTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def tame(self) -> bool:
         return self.verdict == "tame"
+
+
+def tameness_table_length(sub: Substitution) -> int:
+    """Table bound ``decide_tameness`` builds its own table with."""
+    return max(4, 2 * sub.max_image_len * len(sub.alphabet))
 
 
 def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> TamenessReport:
@@ -117,7 +126,7 @@ def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> Ta
             return TamenessReport("wild", classification, witness=witness)
     # tame: collect every bounded legal word
     if table is None:
-        table = LanguageTable(sub, max(4, 2 * sub.max_image_len * len(sub.alphabet)))
+        table = LanguageTable(sub, tameness_table_length(sub))
     bounded_words: list[Word] = [()]
     length = 1
     while True:
@@ -132,7 +141,7 @@ def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> Ta
         length += 1
     return TamenessReport("tame", classification,
                           bounded_legal_words=tuple(bounded_words),
-                          n_sigma=length, exact=table.legal_exact)
+                          n_sigma=length, exact=table.legal_exact, table=table)
 
 
 def wild_periodic_word(sub: Substitution, witness: WildWitness,
@@ -259,7 +268,10 @@ def find_seed(sub: Substitution, table: LanguageTable | None = None,
         raise WildInputError("seed search requires a tame substitution")
     classification = report.classification
     if table is None:
-        table = LanguageTable(sub, max(4, 2 * sub.max_image_len * len(sub.alphabet)))
+        length = tameness_table_length(sub)
+        table = report.table
+        if table is None or not table.is_default(sub, length):
+            table = LanguageTable(sub, length)
     elements = _pointed_shape_elements(sub, table, classification)
     periodic: dict[PointedWord, int] = {}
     step_cache: dict[PointedWord, PointedWord] = {}
@@ -390,7 +402,7 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
         try:
             collared = collar(sub, report.n_sigma)
             lattice = enumerate_cis(collared, tameness=report)
-        except Exception:
+        except SubstdynError:
             return MinimalityResult("unknown", reason="recurrence failed; lattice unavailable",
                                     bound=table.max_length)
         nonempty = [node for node in lattice.nodes if node.edges]

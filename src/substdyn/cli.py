@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from .apcomplex import (build_complex, complex_to_dot, induced_map,
                         h1_presentation, inverse_limit_presentation)
 from .cis import diagram_compare, enumerate_cis, extend_substitution, lattice_to_dot
-from .classify import decide_tameness, is_minimal
+from .classify import decide_tameness, is_minimal, tameness_table_length
 from .collar import border_forcing_level, collar
 from .core import Substitution, load_substitution, parse_substitution
 from .errors import (EdgeBudgetError, EmptySubshiftError, NonClosureError,
@@ -165,7 +165,8 @@ def cmd_analyze(args):
     sub = _load(args.file)
     max_length = args.max_length or max(8, 2 * sub.max_image_len * len(sub.alphabet))
     table = LanguageTable(sub, max_length, margin=args.margin)
-    report = decide_tameness(sub, table=None)
+    shared = table.is_default(sub, tameness_table_length(sub))
+    report = decide_tameness(sub, table=table if shared else None)
     out = {
         "input": _substitution_dict(sub),
         "language": {

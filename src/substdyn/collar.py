@@ -102,7 +102,6 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
 
     legal_contexts = table.legal(2 * radius + 1)
     legal_letters = [CollaredLetter(w[radius], w) for w in legal_contexts]
-    legal_letter_set = set(base.alphabet) if radius == 0 else None
     legal_base_letters = {w[0] for w in table.legal(1)}
     padded = [CollaredLetter(a, ((padding,) * radius) + (a,) + ((padding,) * radius))
               for a in base.alphabet if a not in legal_base_letters]

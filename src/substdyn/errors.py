@@ -47,6 +47,15 @@ class PrimitivityError(SubstdynError):
     """A substitution required to be primitive is not."""
 
 
+class BlockPrefixError(SubstdynError):
+    """sigma^N of a return word does not begin with sigma^N of the seed letter."""
+
+
+class DerivedLengthError(SubstdynError):
+    """The return-word expansion of a derived rule image does not cover
+    sigma^N of its return word."""
+
+
 class BlockShortfallError(SubstdynError):
     """A derived rule image stayed shorter than its return word after power lifting."""
 

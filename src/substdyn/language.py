@@ -4,15 +4,27 @@ Admitted words are factors of some sigma^k(a).  They are computed by
 iterating, per letter, the set of maximal bounded-length factors of
 sigma^k(a): the per-letter tuples of factor sets evolve under a
 deterministic map on a finite state space, so they are eventually periodic
-and the union over the pre-period and cycle is exact.
+and the union over the pre-period and cycle is exact.  A word recurs in
+many states, so each distinct word is expanded once per table.
+
+Only the longest admitted words (length cap) and the shorter whole images
+met along the way are kept.  Every other length is derived top-down: each
+admitted word of length l is a prefix or suffix of an admitted word of
+length l + 1, or itself a short image, so admitted(l) is the prefixes and
+suffixes of admitted(l + 1) plus the short images of length l.
 
 Legal words are factors of bi-infinite sequences of the subshift.  A word
 of length l is accepted when it lies on a bi-infinite path of the Rauzy
 graph at a margin order m >= l (reachable from a cycle and reaching a
-cycle).  This over-approximates legality and decreases to it as m grows, so
-the table is flagged exact only when two successive margin orders agree.
-Emptiness of the subshift, by contrast, is decided exactly: the subshift is
-empty iff admitted word lengths stay bounded.
+cycle).  The vertices on such paths are closed under the shift (a path
+through a vertex continues through its successor), so the accepted words
+of length l are exactly the length-l prefixes of those vertices.  This
+over-approximates legality and decreases to it as m grows, so the table is
+flagged exact only when two successive margin orders agree.  Agreement is
+tested at max_length alone: every shorter set is the prefixes of that one,
+so agreement there implies agreement below it.  Emptiness of the subshift,
+by contrast, is decided exactly: the subshift is empty iff admitted word
+lengths stay bounded.
 """
 
 from __future__ import annotations
@@ -30,6 +42,13 @@ def default_margin(sub: Substitution, max_length: int) -> int:
     return max(max_length, 2 * sub.max_image_len * len(sub.alphabet))
 
 
+def resolve_margin(sub: Substitution, max_length: int, margin: int | None = None) -> int:
+    """The margin order a table built with these arguments uses."""
+    if margin is None:
+        margin = min(default_margin(sub, max_length), max(max_length, DEFAULT_MARGIN_CAP))
+    return max(margin, max_length)
+
+
 class LanguageTable:
     """Admitted/legal word sets of a substitution up to a length bound."""
 
@@ -38,54 +57,71 @@ class LanguageTable:
             raise ValueError("max_length must be >= 1")
         self.sub = sub
         self.max_length = max_length
-        if margin is None:
-            margin = min(default_margin(sub, max_length), max(max_length, DEFAULT_MARGIN_CAP))
-        self.margin = max(margin, max_length)
+        self.margin = resolve_margin(sub, max_length, margin)
         self._primitive = sub.is_primitive()
         # admitted words up to cap are needed to build the Rauzy graphs at
         # orders margin and margin + 1
         self._cap = self.margin + 2 if not self._primitive else max_length + 1
-        self._pool: set[str] = set()
-        self._short: set[str] = set()
-        self.stabilized_at = self._compute_admitted()
+        self._short: dict[int, list[str]] = {}
         self._admitted_cache: dict[int, frozenset[str]] = {}
-        self.empty_subshift = not self._admitted_exact_length(self._cap)
+        self.stabilized_at = self._compute_admitted()
+        self.empty_subshift = not self._admitted_cache[self._cap]
         self._legal_cache: dict[int, frozenset[str]] = {}
         self.legal_exact = True
         if not self.empty_subshift:
             self._compute_legal()
+
+    def is_default(self, sub: Substitution, max_length: int) -> bool:
+        """True when this table is the one ``LanguageTable(sub, max_length)``
+        builds, so a caller about to build that table may use this one."""
+        return (self.max_length == max_length and self.sub == sub
+                and self.margin == resolve_margin(sub, max_length))
 
     # -- admitted ---------------------------------------------------------
 
     def _compute_admitted(self) -> int:
         sub = self.sub
         cap = self._cap
+        # word -> the words its image contributes to the next state; the
+        # windows are interned so that equal strings are stored once
+        children: dict[str, tuple[str, ...]] = {}
+        interned: dict[str, str] = {}
+
+        def expand(word):
+            image = sub.apply_coded(word)
+            if len(image) <= cap:
+                return (interned.setdefault(image, image),)
+            windows = {image[i:i + cap] for i in range(len(image) - cap + 1)}
+            return tuple(interned.setdefault(w, w) for w in windows)
+
         state = tuple(frozenset((sub.encode((a,)),)) for a in sub.alphabet)
         seen = {state: 0}
         k = 0
         while True:
-            for group in state:
-                for word in group:
-                    if len(word) == cap:
-                        self._pool.add(word)
-                    else:
-                        self._short.add(word)
             nxt = []
             for group in state:
                 new_group = set()
                 for word in group:
-                    image = sub.apply_coded(word)
-                    if len(image) <= cap:
-                        new_group.add(image)
-                    else:
-                        for i in range(len(image) - cap + 1):
-                            new_group.add(image[i:i + cap])
+                    grown = children.get(word)
+                    if grown is None:
+                        grown = children[word] = expand(word)
+                    new_group.update(grown)
                 nxt.append(frozenset(new_group))
             state = tuple(nxt)
             k += 1
             if state in seen:
-                return k
+                break
             seen[state] = k
+        # every word of every state has been expanded, the repeated final
+        # state included
+        pool = set()
+        for word in children:
+            if len(word) == cap:
+                pool.add(word)
+            else:
+                self._short.setdefault(len(word), []).append(word)
+        self._admitted_cache[cap] = frozenset(pool)
+        return k
 
     def _admitted_exact_length(self, length: int) -> frozenset[str]:
         if length == 0:
@@ -95,17 +131,18 @@ class LanguageTable:
         cached = self._admitted_cache.get(length)
         if cached is not None:
             return cached
-        out = set()
-        for word in self._pool:
-            for i in range(len(word) - length + 1):
-                out.add(word[i:i + length])
-        for word in self._short:
-            if len(word) >= length:
-                for i in range(len(word) - length + 1):
-                    out.add(word[i:i + length])
-        result = frozenset(out)
-        self._admitted_cache[length] = result
-        return result
+        # walk down from the nearest computed length above; lengths past
+        # max_length are kept only when asked for, as they can be long
+        above = min(known for known in self._admitted_cache if known > length)
+        words = self._admitted_cache[above]
+        for current in range(above - 1, length - 1, -1):
+            level = {w[:-1] for w in words}
+            level.update(w[1:] for w in words)
+            level.update(self._short.get(current, ()))
+            words = frozenset(level)
+            if current <= self.max_length or current == length:
+                self._admitted_cache[current] = words
+        return words
 
     def admitted(self, length: int) -> list[Word]:
         """Sorted admitted words of the given length (<= internal cap)."""
@@ -133,31 +170,20 @@ class LanguageTable:
         nodes = sorted(vertices)
         return biinfinite_path_nodes(nodes, lambda v: succ_map[v], lambda v: pred_map[v])
 
-    def _legal_from_vertices(self, vertices, length: int) -> frozenset[str]:
-        out = set()
-        for vertex in vertices:
-            for i in range(len(vertex) - length + 1):
-                out.add(vertex[i:i + length])
-        return frozenset(out)
-
     def _compute_legal(self):
+        top = self.max_length
         if self._primitive:
             # admitted and legal coincide for primitive substitutions
-            for length in range(1, self.max_length + 1):
+            for length in range(1, top + 1):
                 self._legal_cache[length] = self._admitted_exact_length(length)
-            self.legal_exact = True
             return
-        base = self._biinfinite_words(self.margin)
-        check = self._biinfinite_words(self.margin + 1)
-        exact = True
-        for length in range(1, self.max_length + 1):
-            at_margin = self._legal_from_vertices(base, length)
-            at_next = self._legal_from_vertices(check, length)
-            if at_margin != at_next:
-                exact = False
-            # legality-at-order shrinks as the order grows; keep the tighter set
-            self._legal_cache[length] = at_next
-        self.legal_exact = exact
+        at_margin = {v[:top] for v in self._biinfinite_words(self.margin)}
+        # legality-at-order shrinks as the order grows; keep the tighter set
+        words = frozenset(v[:top] for v in self._biinfinite_words(self.margin + 1))
+        self.legal_exact = at_margin == words
+        for length in range(top, 0, -1):
+            self._legal_cache[length] = words
+            words = frozenset(w[:-1] for w in words)
 
     def legal(self, length: int) -> list[Word]:
         """Sorted legal words of the given length (<= max_length)."""
@@ -222,10 +248,6 @@ class LanguageTable:
         }
 
 
-def build_language(sub: Substitution, max_length: int, margin: int | None = None) -> LanguageTable:
-    return LanguageTable(sub, max_length, margin=margin)
-
-
 def is_admissible(sub: Substitution, table: LanguageTable | None = None) -> bool:
     """True iff every computed legal set equals the admitted set (checked to
     the table bound); in particular every letter must be legal."""
@@ -274,6 +296,13 @@ def _all_words(alphabet, length):
             yield shorter + (letter,)
 
 
+def periodic_search_length(sub: Substitution, period_bound: int) -> int:
+    """Table bound ``periodic_point_search`` builds its own table with."""
+    # windows must outgrow repetitions that occur inside genuinely
+    # aperiodic sequences, so scale the check length with the period
+    return max(4 * period_bound + 4, 2 * sub.max_image_len * len(sub.alphabet))
+
+
 def periodic_point_search(sub: Substitution, period_bound: int,
                           table: LanguageTable | None = None) -> list[Word]:
     """Primitive cyclic words u with |u| <= period_bound whose bi-infinite
@@ -283,10 +312,7 @@ def periodic_point_search(sub: Substitution, period_bound: int,
     if period_bound < 1:
         raise ValueError("period bound must be >= 1")
     if table is None:
-        # windows must outgrow repetitions that occur inside genuinely
-        # aperiodic sequences, so scale the check length with the period
-        table = LanguageTable(sub, max(4 * period_bound + 4,
-                                       2 * sub.max_image_len * len(sub.alphabet)))
+        table = LanguageTable(sub, periodic_search_length(sub, period_bound))
     if table.empty_subshift:
         return []
     found = []

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Substitution, Word
-from .errors import (BlockShortfallError, ConjugacyError, EmptySubshiftError,
-                     NonClosureError, PrimitivityError, WildInputError)
+from .errors import (BlockPrefixError, BlockShortfallError, ConjugacyError,
+                     DerivedLengthError, EmptySubshiftError, NonClosureError,
+                     PrimitivityError, WildInputError)
 from .classify import SeedResult, TamenessReport, decide_tameness, find_seed
 from .language import LanguageTable, periodic_point_search
 
@@ -134,7 +135,9 @@ def _close_blocks(sub, power_sub, b, n, words):
         if v == (b,):
             continue
         image = power_sub.apply(v)
-        assert image[:len(image_of_b)] == image_of_b
+        if image[:len(image_of_b)] != image_of_b:
+            raise BlockPrefixError(
+                f"sigma^{n} of return word {v!r} does not begin with sigma^{n}({b!r})")
         w_part, blocks = _split_blocks(image[len(image_of_b):], b)
         decompositions[v] = BlockForm(w_part, blocks)
         for block in blocks[:-1]:
@@ -194,7 +197,10 @@ def build_psi(sub: Substitution, rws: ReturnWordSystem) -> DerivedSubstitution:
     power_sub = sub.power(rws.power)
     for v in rws.return_words:
         expanded = sum(len(alpha[s]) for s in psi.rules[token[v]])
-        assert expanded == len(power_sub.apply(v)), (v, expanded)
+        if expanded != len(power_sub.apply(v)):
+            raise DerivedLengthError(
+                f"derived image of {v!r} expands to {expanded} letters, "
+                f"not |sigma^{rws.power}({v!r})|")
     primitive = psi.is_primitive()
     if not primitive:
         raise PrimitivityError("derived return-word substitution is not primitive; "

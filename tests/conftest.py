@@ -26,6 +26,13 @@ def brute_admitted(sub: Substitution, max_len, max_power=12, length_cap=2_000_00
     """Union of factors of sigma^k(a) for all letters and k <= max_power, by
     direct expansion.  Raises if an iterate outgrows the cap (use the span
     oracle for fast-growing rules)."""
+    # |sigma^k(a)| from the image lengths alone, so that an iterate past the
+    # cap raises before anything is expanded
+    lengths = {a: 1 for a in sub.alphabet}
+    for _ in range(max_power + 1):
+        lengths = {a: sum(lengths[x] for x in sub.rules[a]) for a in sub.alphabet}
+        if max(lengths.values()) > length_cap:
+            raise OverflowError("iterate outgrew the brute-force cap")
     factors = {length: set() for length in range(max_len + 1)}
     factors[0].add(())
     for letter in sub.alphabet:
@@ -38,8 +45,6 @@ def brute_admitted(sub: Substitution, max_len, max_power=12, length_cap=2_000_00
             if grown == word:
                 break
             word = grown
-            if len(word) > length_cap:
-                raise OverflowError("iterate outgrew the brute-force cap")
     return factors
 
 

@@ -6,6 +6,7 @@ from substdyn.cis import (CanonicalizeContext, brute_force_canonical_sets,
 from substdyn.collar import collar
 from substdyn.core import parse_substitution
 from substdyn.errors import SubstdynError, SymbolError, WildInputError
+from substdyn.language import LanguageTable
 
 
 def test_fib_handle_lattice(fib_handle):
@@ -45,6 +46,18 @@ def test_canonicalize_properties(fib_handle):
     small = context.canonicalize(frozenset(list(sorted(full))[:4]))
     big = context.canonicalize(full)
     assert small <= big
+
+
+def test_lattice_exact_follows_its_own_table():
+    # the context's table is inexact at this margin while the collar's own
+    # table is exact; the lattice must report the table it was computed on
+    sub = parse_substitution("a -> acc\nb -> bc\nc -> b\n")
+    collared = collar(sub, 0)
+    narrow = LanguageTable(sub, 3, margin=3)
+    assert collared.table.legal_exact and not narrow.legal_exact
+    context = CanonicalizeContext(collared, table=narrow)
+    lattice = enumerate_cis(collared, context=context)
+    assert lattice.exact is context.table.legal_exact
 
 
 def test_eventual_range_examples(fib_handle, chacon):

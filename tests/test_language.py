@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
+from substdyn.apcomplex import inverse_limit_presentation
 from substdyn.core import parse_substitution
+from substdyn.corpus import CORPUS
 from substdyn.errors import MarginError
+from substdyn.graphs import biinfinite_path_nodes
 from substdyn.language import (LanguageTable, is_admissible,
                                periodic_point_search)
 
-from conftest import brute_admitted
+from conftest import brute_admitted, random_substitution
 
 
 def words(sub, items):
@@ -103,3 +108,109 @@ def test_json_dict(wild_ab):
     assert data["exact"] is True
     assert data["legal"]["2"] == ["bb"]
     assert data["admitted"]["2"] == ["ab", "bb"]
+
+
+def _factors(words, length):
+    return {w[i:i + length] for w in words for i in range(len(w) - length + 1)}
+
+
+def reference_language(sub, max_length, margin):
+    """The slicing extraction the table replaced: iterate the per-letter
+    factor states without memo, slice every admitted length out of the kept
+    words, and slice every legal length out of the bi-infinite Rauzy
+    vertices at both margin orders."""
+    cap = margin + 2 if not sub.is_primitive() else max_length + 1
+    kept = set()
+    state = tuple(frozenset((sub.encode((a,)),)) for a in sub.alphabet)
+    seen = {state: 0}
+    while True:
+        nxt = []
+        for group in state:
+            kept.update(group)
+            grown = set()
+            for word in group:
+                image = sub.apply_coded(word)
+                grown.update(_factors([image], cap) if len(image) > cap else [image])
+            nxt.append(frozenset(grown))
+        state = tuple(nxt)
+        if state in seen:
+            break
+        seen[state] = len(seen)
+    stabilized_at = len(seen)
+
+    def admitted(length):
+        return _factors(kept, length)
+
+    empty = not admitted(cap)
+    legal = {length: set() for length in range(1, max_length + 1)}
+    exact = True
+    if sub.is_primitive():
+        legal = {length: admitted(length) for length in legal}
+    elif not empty:
+        def vertices(order):
+            edges = admitted(order + 1)
+            succ = {v: [] for v in admitted(order)}
+            pred = {v: [] for v in succ}
+            for e in edges:
+                succ[e[:-1]].append(e[1:])
+                pred[e[1:]].append(e[:-1])
+            return biinfinite_path_nodes(sorted(succ), succ.__getitem__, pred.__getitem__)
+
+        base, check = vertices(margin), vertices(margin + 1)
+        for length in legal:
+            legal[length] = _factors(check, length)
+            exact = exact and _factors(base, length) == legal[length]
+    admitted_sets = {length: admitted(length) for length in range(max_length + 1)}
+    admitted_sets[0] = {""}
+    return admitted_sets, legal, exact, stabilized_at
+
+
+def _non_primitive_sample(count):
+    rng = random.Random(20240611)
+    out = []
+    while len(out) < count:
+        sub = random_substitution(rng, max_letters=3, max_image=4)
+        if not sub.is_primitive():
+            out.append(sub)
+    return out
+
+
+@pytest.mark.parametrize(
+    "sub", [entry.substitution() for entry in CORPUS.values()] + _non_primitive_sample(40),
+    ids=list(CORPUS) + [f"non_primitive_{i}" for i in range(40)])
+def test_derived_sets_match_slicing_reference(sub):
+    # the default margin, and the smallest one, where legality is often
+    # not yet stable
+    for margin in (None, 5):
+        table = LanguageTable(sub, 5, margin=margin)
+        admitted, legal, exact, stabilized_at = reference_language(sub, 5, table.margin)
+        coded = sub.encode
+        for length in range(6):
+            assert {coded(w) for w in table.admitted(length)} == admitted[length], length
+        for length in range(1, 6):
+            assert {coded(w) for w in table.legal(length)} == legal[length], length
+        assert table.legal_exact == exact
+        assert table.stabilized_at == stabilized_at
+
+
+def test_large_margin_walks_down_iteratively(wild_ab):
+    table = LanguageTable(wild_ab, 4, margin=1500)
+    assert table.margin == 1500
+    assert words(wild_ab, table.legal(4)) == ["bbbb"]
+
+
+def test_cohomology_reuses_the_tameness_table(monkeypatch):
+    # the tameness table has the key the recognisability search asks for
+    # (2 * 2 * 5 = 4 * 4 + 4), so only it and the collaring table are built
+    sub = parse_substitution("a -> ab\nb -> c\nc -> d\nd -> e\ne -> a\n")
+    built = []
+    init = LanguageTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LanguageTable, "__init__", counting_init)
+    presentation = inverse_limit_presentation(sub)
+    assert presentation.recognisable == "evidenced"
+    assert len(built) == 2

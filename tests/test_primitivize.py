@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 from substdyn.core import Substitution, parse_substitution
 from substdyn.corpus import sigma_family
-from substdyn.errors import EmptySubshiftError
-from substdyn.primitivize import (ConjugateSubstitution, build_psi, build_theta,
-                                  primitivize, return_words, verify_conjugacy)
+from substdyn.errors import BlockPrefixError, DerivedLengthError, EmptySubshiftError
+from substdyn.primitivize import (ConjugateSubstitution, _close_blocks, build_psi,
+                                  build_theta, primitivize, return_words,
+                                  verify_conjugacy)
 from substdyn import intlin
 
 
@@ -33,6 +36,18 @@ def test_family_psi():
         assert ds.psi.is_primitive()
         matrix = ds.psi.matrix()
         assert matrix == [[1 + (i == j) for j in range(n)] for i in range(n)]
+
+
+def test_broken_block_invariants_raise_typed_errors():
+    sub = sigma_family(2)
+    rws = return_words(sub)
+    with pytest.raises(DerivedLengthError):
+        build_psi(sub, dataclasses.replace(rws, power=rws.power + 1))
+    power_sub = sub.power(rws.power)
+    # a candidate that does not start with the seed letter
+    with pytest.raises(BlockPrefixError):
+        _close_blocks(sub, power_sub, rws.seed_letter, rws.power,
+                      rws.return_words + (("b",),))
 
 
 def test_fibonacci_return_words(fib):
