@@ -241,8 +241,13 @@ def cmd_primitivize(args):
         print("error: empty subshift", file=sys.stderr)
         return 2
     result = primitivize(sub, depth=args.verify_depth)
-    _emit(_primitivization_dict(sub, result))
     out_dir = args.out_dir or "."
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 1
+    _emit(_primitivization_dict(sub, result))
     stem = os.path.splitext(os.path.basename(args.file))[0] if args.file != "-" \
         else "substitution"
     stem = stem.replace("corpus:", "")

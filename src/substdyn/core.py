@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RuleParseError, SymbolError
-from . import intlin
 
 Word = tuple[str, ...]
 
@@ -166,10 +165,6 @@ class Substitution:
             step += 1
         return all(all(row) for row in current)
 
-    def occurrence_successors(self, letter):
-        """Letters occurring in the image of `letter` (occurrence digraph)."""
-        return sorted(set(self.rules[letter]), key=self.letter_index)
-
     # -- formatting ---------------------------------------------------------
 
     def format_word(self, word) -> str:
@@ -256,11 +251,3 @@ class PointedWord:
         right = fmt(self.word[self.origin:])
         return f"{left}.{right}"
 
-
-def substitution_matrix(sub: Substitution):
-    return sub.matrix()
-
-
-def matrix_column_sums(matrix):
-    rows, cols = intlin.dims(matrix)
-    return [sum(matrix[i][j] for i in range(rows)) for j in range(cols)]

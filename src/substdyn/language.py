@@ -5,7 +5,9 @@ iterating, per letter, the set of maximal bounded-length factors of
 sigma^k(a): the per-letter tuples of factor sets evolve under a
 deterministic map on a finite state space, so they are eventually periodic
 and the union over the pre-period and cycle is exact.  A word recurs in
-many states, so each distinct word is expanded once per table.
+many states, so each distinct word is expanded once per table; a group
+recurs too (at other letters, or at a later step once the groups of a
+primitive rule converge), so each distinct group is stepped once per table.
 
 Only the longest admitted words (length cap) and the shorter whole images
 met along the way are kept.  Every other length is derived top-down: each
@@ -25,6 +27,12 @@ tested at max_length alone: every shorter set is the prefixes of that one,
 so agreement there implies agreement below it.  Emptiness of the subshift,
 by contrast, is decided exactly: the subshift is empty iff admitted word
 lengths stay bounded.
+
+The periodic-point search takes its candidates from the table it checks
+against.  A cyclic word u of length p <= max_length can pass only if u is
+legal, because u is a prefix of the first window of its repetition; so the
+candidates of length p are the legal words of length p that are primitive
+and least among their rotations, not all |A|^p words.
 """
 
 from __future__ import annotations
@@ -96,17 +104,23 @@ class LanguageTable:
 
         state = tuple(frozenset((sub.encode((a,)),)) for a in sub.alphabet)
         seen = {state: 0}
+        # group -> its successor; the letters' groups often coincide, and
+        # every key and value is a group that some state in seen holds
+        step: dict[frozenset[str], frozenset[str]] = {}
         k = 0
         while True:
             nxt = []
             for group in state:
-                new_group = set()
-                for word in group:
-                    grown = children.get(word)
-                    if grown is None:
-                        grown = children[word] = expand(word)
-                    new_group.update(grown)
-                nxt.append(frozenset(new_group))
+                new_group = step.get(group)
+                if new_group is None:
+                    grown_group = set()
+                    for word in group:
+                        grown = children.get(word)
+                        if grown is None:
+                            grown = children[word] = expand(word)
+                        grown_group.update(grown)
+                    new_group = step[group] = frozenset(grown_group)
+                nxt.append(new_group)
             state = tuple(nxt)
             k += 1
             if state in seen:
@@ -261,41 +275,6 @@ def is_admissible(sub: Substitution, table: LanguageTable | None = None) -> bool
     return True
 
 
-def _primitive_necklaces(alphabet, max_len):
-    """Lexicographically least rotations of primitive (non-power) cyclic
-    words, lengths 1..max_len."""
-    out = []
-
-    def rotations(word):
-        return {word[i:] + word[:i] for i in range(len(word))}
-
-    seen = set()
-    for length in range(1, max_len + 1):
-        for word in _all_words(alphabet, length):
-            if word in seen:
-                continue
-            # primitive: not a proper power
-            primitive = True
-            for period in range(1, length):
-                if length % period == 0 and word == word[:period] * (length // period):
-                    primitive = False
-                    break
-            rots = rotations(word)
-            seen.update(rots)
-            if primitive:
-                out.append(min(rots))
-    return out
-
-
-def _all_words(alphabet, length):
-    if length == 0:
-        yield ()
-        return
-    for shorter in _all_words(alphabet, length - 1):
-        for letter in alphabet:
-            yield shorter + (letter,)
-
-
 def periodic_search_length(sub: Substitution, period_bound: int) -> int:
     """Table bound ``periodic_point_search`` builds its own table with."""
     # windows must outgrow repetitions that occur inside genuinely
@@ -308,23 +287,31 @@ def periodic_point_search(sub: Substitution, period_bound: int,
     """Primitive cyclic words u with |u| <= period_bound whose bi-infinite
     repetition survives every legality check up to the table bound.  A
     nonempty result certifies a shift-periodic point; an empty result is
-    evidence of aperiodicity only up to the bound."""
+    evidence of aperiodicity only up to the bound.
+
+    Each u is reported as its least rotation.  A given ``table`` must reach
+    at least ``period_bound`` (ValueError otherwise): the candidates are the
+    table's own legal words of each length."""
     if period_bound < 1:
         raise ValueError("period bound must be >= 1")
     if table is None:
         table = LanguageTable(sub, periodic_search_length(sub, period_bound))
+    elif table.max_length < period_bound:
+        raise ValueError("table bound must be >= period bound")
     if table.empty_subshift:
         return []
-    found = []
     check_len = table.max_length
-    for necklace in _primitive_necklaces(sub.alphabet, period_bound):
-        ring = necklace * (check_len // len(necklace) + 2)
-        ok = True
-        for i in range(len(necklace)):
-            factor = ring[i:i + check_len]
-            if not table.is_legal(factor):
-                ok = False
-                break
-        if ok:
-            found.append(necklace)
+    windows = table.legal_coded(check_len)
+    found = []
+    for length in range(1, period_bound + 1):
+        for coded in table.legal_coded(length):
+            # a proper power occurs inside its own square, off the ends
+            if coded in (coded + coded)[1:-1]:
+                continue
+            word = sub.decode(coded)
+            if any(word[i:] + word[:i] < word for i in range(1, length)):
+                continue
+            ring = coded * (check_len // length + 2)
+            if all(ring[i:i + check_len] in windows for i in range(length)):
+                found.append(word)
     return sorted(found, key=lambda w: (len(w), w))

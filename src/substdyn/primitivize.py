@@ -17,7 +17,7 @@ from .errors import (BlockPrefixError, BlockShortfallError, ConjugacyError,
                      DerivedLengthError, EmptySubshiftError, NonClosureError,
                      PrimitivityError, WildInputError)
 from .classify import SeedResult, TamenessReport, decide_tameness, find_seed
-from .language import LanguageTable, periodic_point_search
+from .language import LanguageTable, periodic_point_search, periodic_search_length
 
 
 @dataclass(frozen=True)
@@ -434,8 +434,7 @@ def _periodic_bypass(sub: Substitution, report: TamenessReport):
     subshift of the constant-length primitive substitution sending every
     legal letter of the cycle to the periodic word."""
     word = report.witness.periodic_word
-    table = LanguageTable(sub, max(4 * len(word) + 4,
-                                   2 * sub.max_image_len * len(sub.alphabet)))
+    table = LanguageTable(sub, periodic_search_length(sub, len(word)))
     ring = word * (table.max_length // len(word) + 2)
     factors = {ring[i:i + table.max_length] for i in range(len(word))}
     if not set(table.legal(table.max_length)) <= factors:

@@ -103,7 +103,7 @@ def brute_bounded_letters(sub: Substitution):
 
 def random_substitution(rng: random.Random, max_letters=3, max_image=4):
     size = rng.randint(1, max_letters)
-    letters = list("abc"[:size])
+    letters = list("abcd"[:size])
     rules = []
     for letter in letters:
         image = tuple(rng.choice(letters) for _ in range(rng.randint(1, max_image)))

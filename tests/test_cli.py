@@ -76,6 +76,26 @@ def test_primitivize_writes_files(tmp_path, capsys):
     assert data["verification"]["ok"] is True
 
 
+def test_primitivize_creates_the_output_directory(tmp_path, capsys):
+    out_dir = tmp_path / "no" / "such" / "dir"
+    code, out, _ = run_cli(capsys, "primitivize", "corpus:fibonacci",
+                           "--out-dir", str(out_dir))
+    assert code == 0
+    assert json.loads(out)["verification"]["ok"] is True
+    assert (out_dir / "fibonacci.psi.txt").exists()
+    assert (out_dir / "fibonacci.theta.txt").exists()
+
+
+def test_primitivize_unwritable_out_dir_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "primitivize", "corpus:fibonacci",
+                             "--out-dir", str(blocker / "dir"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_complex_dot(tmp_path, capsys):
     dot = tmp_path / "out.dot"
     code, out, _ = run_cli(capsys, "complex", "corpus:fib_handle",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from substdyn.corpus import CORPUS
 from substdyn.errors import MarginError
 from substdyn.graphs import biinfinite_path_nodes
 from substdyn.language import (LanguageTable, is_admissible,
-                               periodic_point_search)
+                               periodic_point_search, periodic_search_length)
 
 from conftest import brute_admitted, random_substitution
 
@@ -165,11 +166,11 @@ def reference_language(sub, max_length, margin):
     return admitted_sets, legal, exact, stabilized_at
 
 
-def _non_primitive_sample(count):
-    rng = random.Random(20240611)
+def _non_primitive_sample(count, seed=20240611, max_letters=3, max_image=4):
+    rng = random.Random(seed)
     out = []
     while len(out) < count:
-        sub = random_substitution(rng, max_letters=3, max_image=4)
+        sub = random_substitution(rng, max_letters=max_letters, max_image=max_image)
         if not sub.is_primitive():
             out.append(sub)
     return out
@@ -214,3 +215,48 @@ def test_cohomology_reuses_the_tameness_table(monkeypatch):
     presentation = inverse_limit_presentation(sub)
     assert presentation.recognisable == "evidenced"
     assert len(built) == 2
+
+
+def reference_periodic_search(sub, period_bound, table):
+    """The enumeration the search replaced: the least rotation of every
+    primitive word over the alphabet of length <= period_bound, kept when
+    every window of its repetition is legal."""
+    found = []
+    check_len = table.max_length
+    for length in range(1, period_bound + 1):
+        for word in itertools.product(sub.alphabet, repeat=length):
+            rotations = {word[i:] + word[:i] for i in range(length)}
+            if len(rotations) < length or word != min(rotations):
+                continue
+            ring = word * (check_len // length + 2)
+            if all(table.is_legal(ring[i:i + check_len]) for i in range(length)):
+                found.append(word)
+    return sorted(found, key=lambda w: (len(w), w))
+
+
+@pytest.mark.parametrize(
+    "sub", [entry.substitution() for entry in CORPUS.values()]
+    + _non_primitive_sample(150, seed=20261018, max_letters=4, max_image=3),
+    ids=list(CORPUS) + [f"non_primitive_{i}" for i in range(150)])
+def test_periodic_search_matches_enumeration(sub):
+    for period_bound in range(1, 6):
+        default = periodic_search_length(sub, period_bound)
+        assert (periodic_point_search(sub, period_bound)
+                == reference_periodic_search(sub, period_bound,
+                                             LanguageTable(sub, default)))
+        for bound in {period_bound, 2 * period_bound, 4 * period_bound + 4} - {default}:
+            table = LanguageTable(sub, bound)
+            assert (periodic_point_search(sub, period_bound, table=table)
+                    == reference_periodic_search(sub, period_bound, table)), bound
+
+
+def test_periodic_search_rejects_a_short_table():
+    sub = parse_substitution("a -> ac\nb -> ca\nc -> cb\n")
+    with pytest.raises(ValueError):
+        periodic_point_search(sub, 5, table=LanguageTable(sub, 2))
+
+
+def test_periodic_search_reads_candidates_from_the_table():
+    # enumerating every word of length <= 8 would visit 5^8 of them
+    sub = parse_substitution("a -> ab\nb -> bc\nc -> cd\nd -> de\ne -> ea\n")
+    assert periodic_point_search(sub, 8) == []
