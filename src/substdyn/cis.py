@@ -24,7 +24,7 @@ from .collar import CollaredSubstitution
 from .core import Substitution
 from .errors import SubstdynError, SymbolError, WildInputError
 from .graphs import biinfinite_path_nodes
-from .language import LanguageTable
+from .language import LanguageTable, default_margin
 
 Subcomplex = frozenset
 
@@ -35,11 +35,23 @@ class CanonicalizeContext:
     letters it witnesses.  Canonicalizing an edge set keeps the windows
     whose letters lie inside it and returns the letters surviving on
     bi-infinite paths.  Order 2 alone is too coarse: it would admit
-    spurious periodic patterns whose longer factors are illegal."""
+    spurious periodic patterns whose longer factors are illegal.
+
+    ``table`` is used as given when it reaches length 2n + 2.  Otherwise
+    the context builds the table of the length its order needs, unless the
+    collar's own table is long enough or ``shared`` (typically the
+    tameness table) is exactly the table it would build.
+
+    A vertex's tokens are those of its (2n + 1)-windows; each distinct
+    coded window is decoded and formatted once, through a dict local to
+    this constructor.  An edge is its head vertex followed by one letter
+    and its tail vertex preceded by one, so its windows, and hence its
+    tokens, are the union of its head's and its tail's; both are vertices
+    because the table's legal words are closed under taking factors."""
 
     def __init__(self, collared: CollaredSubstitution,
-                 table: LanguageTable | None = None):
-        from .language import LanguageTable as _LT, default_margin
+                 table: LanguageTable | None = None,
+                 shared: LanguageTable | None = None):
         base = collared.base
         n = collared.radius
         if table is None or table.max_length < 2 * n + 2:
@@ -47,25 +59,36 @@ class CanonicalizeContext:
             # letters themselves, so the order grows with the radius
             length = max(2 * n + 2, default_margin(base, 2 * n + 2),
                          4 * (2 * n + 1))
-            table = collared.table if collared.table.max_length >= length \
-                else _LT(base, length)
+            if collared.table.max_length >= length:
+                table = collared.table
+            elif shared is not None and shared.is_default(base, length):
+                table = shared
+            else:
+                table = LanguageTable(base, length)
         self.collared = collared
         self.table = table
         self.exact = table.legal_exact
         self.order = table.max_length - 1  # vertex window length (base letters)
-        sub = base
+        width = 2 * n + 1
+        window_tokens: dict[str, str] = {}
 
         def tokens_of(coded):
-            word = sub.decode(coded)
             out = set()
-            for i in range(n, len(word) - n):
-                out.add(f"{word[i]}|" + _context_text(sub, word[i - n:i + n + 1]))
+            for i in range(len(coded) - width + 1):
+                window = coded[i:i + width]
+                token = window_tokens.get(window)
+                if token is None:
+                    word = base.decode(window)
+                    token = f"{word[n]}|" + _context_text(base, word)
+                    window_tokens[window] = token
+                out.add(token)
             return frozenset(out)
 
         self.vertices = sorted(table.legal_coded(self.order))
         self.edges = sorted(table.legal_coded(self.order + 1))
         self.vertex_tokens = {v: tokens_of(v) for v in self.vertices}
-        self.edge_tokens = {e: tokens_of(e) for e in self.edges}
+        self.edge_tokens = {e: self.vertex_tokens[e[:-1]]
+                            | self.vertex_tokens[e[1:]] for e in self.edges}
 
     def canonicalize(self, edge_set: Subcomplex) -> Subcomplex:
         keep = set(edge_set)
@@ -297,7 +320,7 @@ def enumerate_cis(collared: CollaredSubstitution,
             f"{tameness.n_sigma}; distinct subspaces may collapse")
     complex_ = build_complex(collared)
     if context is None:
-        context = CanonicalizeContext(collared)
+        context = CanonicalizeContext(collared, shared=tameness.table)
     if not context.exact:
         warnings.append("legality did not stabilise at the margin order; "
                         "the lattice is exact only to that order")

@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .core import PointedWord, Substitution, Word
 from .errors import (EmptySubshiftError, MarginError, SubstdynError,
                      WildInputError, WitnessError)
 from .graphs import cyclic_nodes, forward_closure
 from .language import LanguageTable, periodic_point_search
+
+if TYPE_CHECKING:
+    from .cis import CISLattice
 
 
 @dataclass(frozen=True)
@@ -324,6 +328,10 @@ class MinimalityResult:
     witness: tuple[Word, Word] | None = None
     reason: str = ""
     bound: int | None = None
+    # the invariant-subspace lattice the negative oracle enumerated, at
+    # radius n_sigma under the default collar budget, for callers that
+    # would otherwise collar and enumerate the same lattice again
+    lattice: CISLattice | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_no(self):
@@ -368,7 +376,11 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
     """Semi-decision of minimality.  Primitive substitutions are minimal;
     wild ones are minimal iff the subshift is a single periodic orbit; tame
     non-primitive ones are probed by a linear-recurrence search, with the
-    invariant-subspace lattice as the certifying negative oracle."""
+    invariant-subspace lattice as the certifying negative oracle.
+
+    When that oracle ran, the result carries its lattice (``lattice``),
+    enumerated on ``collar(sub, report.n_sigma)`` with the default letter
+    budget; a caller may reuse it where it would build that lattice."""
     report = decide_tameness(sub, table)
     if report.empty_subshift:
         return MinimalityResult("no", reason="empty subshift")
@@ -415,8 +427,9 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
                       if not _contains(w, u)), None)
             witness = (u, v) if v is not None else None
             return MinimalityResult("no", witness=witness,
-                                    reason="two distinct nonempty closed invariant subspaces")
+                                    reason="two distinct nonempty closed invariant subspaces",
+                                    lattice=lattice)
         return MinimalityResult("unknown", reason="recurrence inconclusive; lattice trivial",
-                                bound=table.max_length)
+                                bound=table.max_length, lattice=lattice)
     return MinimalityResult("unknown", reason="recurrence inconclusive",
                             bound=table.max_length)

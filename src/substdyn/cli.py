@@ -20,7 +20,7 @@ from .apcomplex import (build_complex, complex_to_dot, induced_map,
                         h1_presentation, inverse_limit_presentation)
 from .cis import diagram_compare, enumerate_cis, extend_substitution, lattice_to_dot
 from .classify import decide_tameness, is_minimal, tameness_table_length
-from .collar import border_forcing_level, collar
+from .collar import border_forcing_level, collar, over_budget
 from .core import Substitution, load_substitution, parse_substitution
 from .errors import (EdgeBudgetError, EmptySubshiftError, NonClosureError,
                      RuleParseError, SubstdynError, WildInputError)
@@ -34,7 +34,13 @@ def _max_edges(args) -> int:
     if args.max_edges is not None:
         return args.max_edges
     env = os.environ.get("SUBSTDYN_MAX_EDGES")
-    return int(env) if env else DEFAULT_MAX_EDGES
+    if not env:
+        return DEFAULT_MAX_EDGES
+    try:
+        return int(env)
+    except ValueError:
+        raise SubstdynError(f"SUBSTDYN_MAX_EDGES must be an integer, "
+                            f"not {env!r}") from None
 
 
 def _emit(data, stream=None):
@@ -197,24 +203,37 @@ def cmd_analyze(args):
             return 3
         out["warnings"].append("wild input: collaring stages skipped")
         try:
-            out["primitivization"] = _primitivization_dict(sub, primitivize(sub))
+            out["primitivization"] = _primitivization_dict(
+                sub, primitivize(sub, report=report))
         except SubstdynError as exc:
             out["warnings"].append(f"primitivization: {exc}")
         _emit(out)
         return 0
     if minimality.verdict != "no":
         try:
-            out["primitivization"] = _primitivization_dict(sub, primitivize(sub))
+            out["primitivization"] = _primitivization_dict(
+                sub, primitivize(sub, report=report))
         except (NonClosureError, SubstdynError) as exc:
             out["warnings"].append(f"primitivization: {exc}")
     radius = report.n_sigma if args.radius == "auto" else int(args.radius)
-    try:
-        collared = collar(sub, radius, max_letters=_max_edges(args))
-    except EdgeBudgetError as exc:
-        out["warnings"].append(str(exc))
-        _emit(out)
-        return 4
-    complex_ = build_complex(collared)
+    max_edges = _max_edges(args)
+    # the minimality oracle's lattice is this one when it was collared at
+    # this radius and fits this budget
+    lattice = minimality.lattice
+    if lattice is not None and (
+            radius != report.n_sigma or lattice.collared.radius != radius
+            or over_budget(len(lattice.collared.sub.alphabet), max_edges)):
+        lattice = None
+    if lattice is None:
+        try:
+            collared = collar(sub, radius, max_letters=max_edges)
+        except EdgeBudgetError as exc:
+            out["warnings"].append(str(exc))
+            _emit(out)
+            return 4
+        complex_ = build_complex(collared)
+    else:
+        collared, complex_ = lattice.collared, lattice.complex
     cell_map = induced_map(collared, complex_)
     h1 = h1_presentation(complex_, cell_map)
     forcing = None
@@ -228,7 +247,8 @@ def cmd_analyze(args):
         "h1": _h1_dict(h1),
         "forcing_level": forcing,
     }
-    lattice = enumerate_cis(collared, tameness=report)
+    if lattice is None:
+        lattice = enumerate_cis(collared, tameness=report)
     out["cis"] = _lattice_dict(lattice)
     _emit(out)
     return 0
@@ -240,7 +260,7 @@ def cmd_primitivize(args):
     if report.empty_subshift:
         print("error: empty subshift", file=sys.stderr)
         return 2
-    result = primitivize(sub, depth=args.verify_depth)
+    result = primitivize(sub, depth=args.verify_depth, report=report)
     out_dir = args.out_dir or "."
     try:
         os.makedirs(out_dir, exist_ok=True)

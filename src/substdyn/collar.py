@@ -41,7 +41,6 @@ class CollaredSubstitution:
     sub: Substitution                    # induced rule on collared tokens
     letters: dict[str, CollaredLetter]   # token -> collared letter
     legal: frozenset[str]                # tokens occurring in the subshift
-    from_legal_words: frozenset[str]     # collared versions of legal contexts
     from_padding: frozenset[str]         # padded illegal letters
     table: LanguageTable                 # base language table used to build
 
@@ -85,6 +84,15 @@ def _image_letters(sub: Substitution, letter: CollaredLetter, radius: int):
     return out
 
 
+def over_budget(n_letters: int, max_letters: int) -> bool:
+    """The collar budget: whether an alphabet of ``n_letters`` tokens exceeds
+    ``max_letters``.  ``collar`` raises EdgeBudgetError as soon as its
+    alphabet would pass the budget, so a finished collar is what
+    ``collar(..., max_letters=m)`` returns exactly when its alphabet size is
+    not over ``m``."""
+    return n_letters > max_letters
+
+
 def collar(base: Substitution, radius: int, padding: str | None = None,
            table: LanguageTable | None = None,
            max_letters: int | None = None) -> CollaredSubstitution:
@@ -112,7 +120,7 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
     for cl in legal_letters + padded:
         tok = cl.token(base)
         if tok not in known:
-            if len(known) >= max_letters:
+            if over_budget(len(known) + 1, max_letters):
                 raise EdgeBudgetError(
                     f"collared alphabet exceeded {max_letters} letters")
             known[tok] = cl
@@ -127,7 +135,7 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
         for img in image:
             itok = img.token(base)
             if itok not in known:
-                if len(known) >= max_letters:
+                if over_budget(len(known) + 1, max_letters):
                     raise EdgeBudgetError(
                         f"collared alphabet exceeded {max_letters} letters")
                 known[itok] = img
@@ -143,11 +151,10 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
 
     alphabet = tuple(sorted(order, key=sort_key))
     collared_sub = Substitution([(t, rules[t]) for t in alphabet], alphabet=alphabet)
-    legal_tokens = frozenset(cl.token(base) for cl in legal_letters)
     return CollaredSubstitution(
         base=base, radius=radius, padding=padding, sub=collared_sub,
-        letters=dict(known), legal=legal_tokens,
-        from_legal_words=legal_tokens,
+        letters=dict(known),
+        legal=frozenset(cl.token(base) for cl in legal_letters),
         from_padding=frozenset(cl.token(base) for cl in padded),
         table=table)
 

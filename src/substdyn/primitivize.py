@@ -390,11 +390,17 @@ def _check_intertwine(sub, cs, image, codes, by_word, n_total):
 
 
 def primitivize(sub: Substitution, depth: int = 6,
-                table: LanguageTable | None = None):
+                table: LanguageTable | None = None,
+                report: TamenessReport | None = None):
     """Full pipeline: tameness gate, seed, return words, psi, theta and the
     sampled conjugacy verification.  Periodic minimal inputs short-circuit
-    to a constant-length primitive substitution on the periodic word."""
-    report = decide_tameness(sub)
+    to a constant-length primitive substitution on the periodic word.
+
+    ``report``, when given, must be ``decide_tameness(sub)`` (as for
+    ``find_seed``); it saves deciding tameness again, and its table is
+    reused by the seed search."""
+    if report is None:
+        report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("cannot primitivize an empty subshift")
     if not report.tame:

@@ -251,3 +251,55 @@ def test_extend_errors(fib):
     wild = parse_substitution("a -> ab\nb -> b\n")
     with pytest.raises(SubstdynError):
         extend_substitution(wild, handle, {"x": "a"})
+
+
+def _tame_corpus():
+    from substdyn import corpus
+    from substdyn.classify import decide_tameness
+    out = []
+    for name in corpus.names():
+        sub = corpus.get(name)
+        report = decide_tameness(sub)
+        if report.tame and not report.empty_subshift:
+            out.append((name, sub, report))
+    return out
+
+
+def reference_tokens_of(context, coded):
+    """Tokens of a coded window, by decoding the whole word and formatting
+    every (2n+1)-window (the construction before the window memo)."""
+    sub = context.collared.base
+    n = context.collared.radius
+    word = sub.decode(coded)
+    out = set()
+    for i in range(n, len(word) - n):
+        out.add(f"{word[i]}|" + sub.format_word(word[i - n:i + n + 1]).replace(" ", "."))
+    return frozenset(out)
+
+
+def test_context_tokens_match_reference():
+    checked = 0
+    for name, sub, report in _tame_corpus():
+        for radius in (report.n_sigma, report.n_sigma + 1):
+            context = CanonicalizeContext(collar(sub, radius), shared=report.table)
+            for v, tokens in context.vertex_tokens.items():
+                assert tokens == reference_tokens_of(context, v), (name, radius, v)
+            for e, tokens in context.edge_tokens.items():
+                assert tokens == reference_tokens_of(context, e), (name, radius, e)
+            checked += 1
+    assert checked >= 40
+
+
+def test_context_reuses_only_the_table_it_would_build(fib_handle):
+    from substdyn.classify import decide_tameness
+    report = decide_tameness(fib_handle)
+    collared = collar(fib_handle, report.n_sigma)
+    own = CanonicalizeContext(collared)
+    key = (own.table.sub, own.table.max_length, own.table.margin)
+    same = LanguageTable(*key)
+    assert CanonicalizeContext(collared, shared=same).table is same
+    wider = LanguageTable(fib_handle, own.table.max_length, margin=own.table.margin + 5)
+    reused = CanonicalizeContext(collared, shared=wider)
+    assert reused.table is not wider
+    assert (reused.table.max_length, reused.table.margin) == key[1:]
+    assert reused.edge_tokens == own.edge_tokens

@@ -174,3 +174,108 @@ def test_parse_error_exit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", str(bad))
     assert code == 1
     assert "parse error" in err
+
+
+def test_bad_max_edges_env_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("SUBSTDYN_MAX_EDGES", "lots")
+    code, out, err = run_cli(capsys, "analyze", "corpus:fib_handle")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "SUBSTDYN_MAX_EDGES" in err
+
+
+def test_analyze_cis_matches_cis_command(capsys):
+    from substdyn import corpus
+    from substdyn.classify import decide_tameness
+    compared = 0
+    for name in corpus.names():
+        report = decide_tameness(corpus.get(name))
+        if not report.tame or report.empty_subshift:
+            continue
+        code, out, _ = run_cli(capsys, "analyze", f"corpus:{name}")
+        assert code == 0, name
+        cis_code, cis_out, _ = run_cli(capsys, "cis", f"corpus:{name}")
+        assert cis_code == 0, name
+        assert json.loads(out)["cis"] == json.loads(cis_out), name
+        compared += 1
+    assert compared >= 20
+
+
+def test_analyze_reuses_the_minimality_lattice(capsys, monkeypatch):
+    # fib_handle is tame and not minimal, so the minimality oracle builds
+    # the lattice at radius n_sigma; analyze must not build it again
+    import sys
+    # the package attributes of these names are the functions, so the
+    # modules are taken from sys.modules
+    cis_mod, cli_mod, collar_mod = (sys.modules[f"substdyn.{name}"]
+                                    for name in ("cis", "cli", "collar"))
+    calls = []
+
+    def counting(module, attr):
+        original = getattr(module, attr)
+
+        def wrapped(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapped)
+
+    for module in (collar_mod, cli_mod):
+        counting(module, "collar")
+    for module in (cis_mod, cli_mod):
+        counting(module, "enumerate_cis")
+    code, out, _ = run_cli(capsys, "analyze", "corpus:fib_handle")
+    assert code == 0
+    assert json.loads(out)["minimality"]["verdict"] == "no"
+    assert calls == ["collar", "enumerate_cis"]
+
+
+def test_max_edges_below_the_lattice_alphabet_exits_4(capsys):
+    from substdyn import corpus
+    from substdyn.classify import decide_tameness
+    from substdyn.collar import collar
+    sub = corpus.get("two_trib_bridge")
+    letters = len(collar(sub, decide_tameness(sub).n_sigma).sub.alphabet)
+    code, out, _ = run_cli(capsys, "--max-edges", str(letters - 1),
+                           "analyze", "corpus:two_trib_bridge")
+    assert code == 4
+    data = json.loads(out)
+    assert data["minimality"]["verdict"] == "no"
+    assert data["cis"] is None
+    assert f"collared alphabet exceeded {letters - 1} letters" in data["warnings"]
+    code, out, _ = run_cli(capsys, "--max-edges", str(letters),
+                           "analyze", "corpus:two_trib_bridge")
+    assert code == 0
+    assert json.loads(out)["cis"] is not None
+
+
+def test_analyze_builds_each_table_once(capsys, monkeypatch):
+    from collections import Counter
+    from substdyn.language import LanguageTable
+    built = Counter()
+    original = LanguageTable.__init__
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built[(self.sub, self.max_length, self.margin)] += 1
+
+    monkeypatch.setattr(LanguageTable, "__init__", counting)
+    code, _, _ = run_cli(capsys, "analyze", "corpus:sigma_4")
+    assert code == 0
+    assert built and max(built.values()) == 1
+
+
+def test_primitivize_decides_tameness_once(tmp_path, capsys, monkeypatch):
+    import sys
+    calls = []
+    original = sys.modules["substdyn.classify"].decide_tameness
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name in ("cli", "primitivize", "classify"):
+        monkeypatch.setattr(sys.modules[f"substdyn.{name}"], "decide_tameness", counting)
+    code, _, _ = run_cli(capsys, "primitivize", "corpus:fib_handle",
+                         "--out-dir", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 1
