@@ -19,7 +19,7 @@ from .core import PointedWord, Substitution, Word
 from .errors import (EmptySubshiftError, MarginError, SubstdynError,
                      WildInputError, WitnessError)
 from .graphs import cyclic_nodes, forward_closure
-from .language import LanguageTable, periodic_point_search
+from .language import LanguageTable, periodic_point_search, periodic_search_length
 
 if TYPE_CHECKING:
     from .cis import CISLattice
@@ -125,7 +125,7 @@ def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> Ta
         if witnesses:
             letter = min(witnesses, key=sub.letter_index)
             witness = WildWitness(letter, side, cycles[letter])
-            word = wild_periodic_word(sub, witness)
+            word = wild_periodic_word(sub, witness, table=table)
             witness = WildWitness(letter, side, cycles[letter], word)
             return TamenessReport("wild", classification, witness=witness)
     # tame: collect every bounded legal word
@@ -149,10 +149,13 @@ def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> Ta
 
 
 def wild_periodic_word(sub: Substitution, witness: WildWitness,
-                       verify: bool = True) -> Word:
+                       verify: bool = True, table: LanguageTable | None = None) -> Word:
     """The bounded periodic word built from a wildness witness: iterate the
     bounded tail (head) of sigma^N(c) until the iterates cycle and
-    concatenate one full cycle."""
+    concatenate one full cycle.
+
+    The periodic check reuses ``table`` when it is the table
+    ``periodic_point_search`` would build for the word's length."""
     classification = classify_letters(sub)
     c = witness.letter
     if c not in classification.expanding:
@@ -197,7 +200,10 @@ def wild_periodic_word(sub: Substitution, witness: WildWitness,
         else:
             word = tuple(itertools.chain.from_iterable(reversed(cycle)))
     if verify:
-        hits = periodic_point_search(sub, len(word))
+        if table is not None and not table.is_default(
+                sub, periodic_search_length(sub, len(word))):
+            table = None
+        hits = periodic_point_search(sub, len(word), table=table)
         if not any(_is_rotation_power(hit, word) for hit in hits):
             raise WitnessError(f"constructed word {word!r} failed the periodic check")
     return word
@@ -225,16 +231,18 @@ class SeedResult:
 
 def _pointed_shape_elements(sub, table, classification):
     """Admitted pointed words: expanding endpoint, bounded interior,
-    expanding endpoint, with every interior separator position."""
+    expanding endpoint, with every interior separator position.  The
+    admitted words are filtered coded and only the survivors decoded."""
+    expanding = frozenset(sub.encode(classification.expanding))
+    bounded = sub.encode(classification.bounded)
     elements = []
     for length in range(2, table.max_length + 1):
-        for word in table.admitted(length):
-            if word[0] not in classification.expanding:
-                continue
-            if word[-1] not in classification.expanding:
-                continue
-            if any(x not in classification.bounded for x in word[1:-1]):
-                continue
+        # strip leaves nothing exactly when the interior is all bounded
+        shaped = sorted(coded for coded in table.admitted_coded(length)
+                        if coded[0] in expanding and coded[-1] in expanding
+                        and not coded[1:-1].strip(bounded))
+        for coded in shaped:
+            word = sub.decode(coded)
             for origin in range(1, length):
                 elements.append(PointedWord(word, origin))
     return elements
@@ -263,7 +271,12 @@ def find_seed(sub: Substitution, table: LanguageTable | None = None,
               report: TamenessReport | None = None) -> SeedResult:
     """A pointed word fixed by a power of the image-frontier map, a legal
     expanding seed letter b, and the least multiple N of the period with two
-    occurrences of b in sigma^N(b)."""
+    occurrences of b in sigma^N(b).
+
+    The pointed words are the admitted words of the shape expanding letter,
+    bounded interior, expanding letter; that shape is checked on the coded
+    words, so only the words that have it are decoded, and the doubling
+    search counts b in coded iterates."""
     if report is None:
         report = decide_tameness(sub, table)
     if report.empty_subshift:
@@ -307,11 +320,12 @@ def find_seed(sub: Substitution, table: LanguageTable | None = None,
     p = periodic[v]
     endpoints = (v.word[0], v.word[-1])
     for b in sorted(set(endpoints), key=sub.letter_index):
+        b_code = sub.encode((b,))
         n = p
         length_guard = 0
         while length_guard < 64:
-            image = sub.iterate((b,), n)
-            if sum(1 for x in image if x == b) >= 2:
+            image = sub.apply_coded(b_code, n)
+            if image.count(b_code) >= 2:
                 return SeedResult(v, p, endpoints, b, n)
             if len(image) > 1_000_000:
                 break
@@ -372,7 +386,8 @@ def _recurrence_constant(table: LanguageTable, c_bound: int) -> int | None:
 
 def is_minimal(sub: Substitution, c_bound: int = 8,
                table: LanguageTable | None = None,
-               use_cis: bool = True) -> MinimalityResult:
+               use_cis: bool = True,
+               report: TamenessReport | None = None) -> MinimalityResult:
     """Semi-decision of minimality.  Primitive substitutions are minimal;
     wild ones are minimal iff the subshift is a single periodic orbit; tame
     non-primitive ones are probed by a linear-recurrence search, with the
@@ -380,8 +395,12 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
 
     When that oracle ran, the result carries its lattice (``lattice``),
     enumerated on ``collar(sub, report.n_sigma)`` with the default letter
-    budget; a caller may reuse it where it would build that lattice."""
-    report = decide_tameness(sub, table)
+    budget; a caller may reuse it where it would build that lattice.
+
+    ``report``, when given, must be ``decide_tameness(sub, table)``; it
+    saves deciding tameness again."""
+    if report is None:
+        report = decide_tameness(sub, table)
     if report.empty_subshift:
         return MinimalityResult("no", reason="empty subshift")
     if sub.is_primitive():

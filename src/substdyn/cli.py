@@ -191,7 +191,8 @@ def cmd_analyze(args):
     if report.empty_subshift:
         _emit(out)
         return 2
-    minimality = is_minimal(sub, table=table)
+    # the report was decided on this table only when it is shared
+    minimality = is_minimal(sub, table=table, report=report if shared else None)
     out["minimality"] = {
         "verdict": minimality.verdict,
         "constant": minimality.constant,
@@ -204,7 +205,7 @@ def cmd_analyze(args):
         out["warnings"].append("wild input: collaring stages skipped")
         try:
             out["primitivization"] = _primitivization_dict(
-                sub, primitivize(sub, report=report))
+                sub, primitivize(sub, table=table, report=report))
         except SubstdynError as exc:
             out["warnings"].append(f"primitivization: {exc}")
         _emit(out)

@@ -61,6 +61,7 @@ class Substitution:
         self.alphabet: tuple[str, ...] = alphabet
         self.rules: dict[str, Word] = {a: rule_map[a] for a in alphabet}
         self._index = {a: i for i, a in enumerate(alphabet)}
+        self.single_char_tokens = all(len(a) == 1 for a in alphabet)
         self._code = {a: chr(_CODE_BASE + i) for i, a in enumerate(alphabet)}
         self._decode_map = {chr(_CODE_BASE + i): a for i, a in enumerate(alphabet)}
         self._table = {ord(self._code[a]): "".join(self._code[x] for x in self.rules[a])
@@ -91,10 +92,6 @@ class Substitution:
     @property
     def max_image_len(self):
         return max(len(image) for image in self.rules.values())
-
-    @property
-    def single_char_tokens(self):
-        return all(len(a) == 1 for a in self.alphabet)
 
     # -- coded-string engine ---------------------------------------------
 

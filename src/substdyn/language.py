@@ -160,9 +160,12 @@ class LanguageTable:
 
     def admitted(self, length: int) -> list[Word]:
         """Sorted admitted words of the given length (<= internal cap)."""
+        return sorted(self.sub.decode(w) for w in self.admitted_coded(length))
+
+    def admitted_coded(self, length: int) -> frozenset[str]:
         if length > self._cap:
             raise MarginError(f"admitted length {length} exceeds computed cap {self._cap}")
-        return sorted(self.sub.decode(w) for w in self._admitted_exact_length(length))
+        return self._admitted_exact_length(length)
 
     def is_admitted(self, word) -> bool:
         coded = self.sub.encode(word)

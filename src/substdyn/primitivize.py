@@ -6,10 +6,18 @@ a finite alphabet on which sigma^N induces a primitive substitution psi.
 Splitting each return-word symbol into per-position letters refines psi to
 a substitution theta whose subshift is topologically conjugate to the
 original one, the conjugacy being the one-block code h((v, k)) = v[k].
+
+The return-word search stays on coded words (one character per letter, see
+``core``): sigma^N is one ``str.translate`` per iterate, and each iterate is
+split at the occurrences of b one slice of about ``_SCAN_CHUNK`` letters at
+a time, so that the pieces alive at once stay few.  Only the words that the
+returned ``ReturnWordSystem`` holds are decoded.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .core import Substitution, Word
@@ -17,7 +25,7 @@ from .errors import (BlockPrefixError, BlockShortfallError, ConjugacyError,
                      DerivedLengthError, EmptySubshiftError, NonClosureError,
                      PrimitivityError, WildInputError)
 from .classify import SeedResult, TamenessReport, decide_tameness, find_seed
-from .language import LanguageTable, periodic_point_search, periodic_search_length
+from .language import LanguageTable, periodic_search_length
 
 
 @dataclass(frozen=True)
@@ -51,53 +59,68 @@ def _occurrences(word: Word, letter: str) -> list[int]:
     return [i for i, x in enumerate(word) if x == letter]
 
 
-def _split_blocks(word: Word, letter: str):
-    """(head before the first occurrence, blocks starting at occurrences)."""
-    positions = _occurrences(word, letter)
-    if not positions:
-        return word, ()
-    head = word[:positions[0]]
-    blocks = []
-    for idx, start in enumerate(positions):
-        end = positions[idx + 1] if idx + 1 < len(positions) else len(word)
-        blocks.append(word[start:end])
-    return head, tuple(blocks)
+# Letters per slice of an iterate that the return-word scan splits at once;
+# the pieces of one slice are alive together, so this bounds the scan's
+# memory, not its result.
+_SCAN_CHUNK = 1 << 16
+
+
+def _collect_return_words(coded: str, b_code: str, found: dict[str, None]):
+    """Add to ``found``, in order of first appearance, the b-free tail u of
+    every return word b u of the coded word (b u followed by b)."""
+    start = coded.find(b_code)
+    while start != -1:
+        # end the slice at the last b within reach, else at the next b
+        end = coded.rfind(b_code, start + 1, start + _SCAN_CHUNK)
+        if end == -1:
+            end = coded.find(b_code, start + 1)
+            if end == -1:
+                return
+        found.update(dict.fromkeys(coded[start + 1:end].split(b_code)))
+        start = end
 
 
 def return_words(sub: Substitution, seed: SeedResult | None = None,
                  table: LanguageTable | None = None,
                  max_rounds: int | None = None) -> ReturnWordSystem:
     """Enumerate the return words to the seed letter by scanning iterates of
-    sigma^N(b), then close the block decompositions over them."""
+    sigma^N(b), then close the block decompositions over them.
+
+    The iterates stay coded (one character per letter) and are split at the
+    occurrences of b one slice of about ``_SCAN_CHUNK`` letters at a time;
+    only the words of the returned system are decoded."""
     if seed is None:
         seed = find_seed(sub, table=table)
     b = seed.seed_letter
     n = seed.n_for_doubling
     if max_rounds is None:
         max_rounds = 2 ** len(sub.alphabet) * sub.max_image_len
-    power_sub = sub.power(n)
+    # sigma^N on coded words, as one str.translate table
+    apply_power = operator.methodcaller(
+        "translate", {ord(c): sub.apply_coded(c, n) for c in sub.encode(sub.alphabet)})
+    b_code = sub.encode((b,))
 
-    found: dict[Word, None] = {}   # insertion-ordered set
-    word = (b,)
+    found: dict[str, None] = {}   # b-free tails, insertion-ordered
+    coded = b_code
     rounds = 0
     stable_rounds = 0
+
+    def partial():
+        return tuple(sub.decode(b_code + tail) for tail in found)
+
     while True:
         rounds += 1
         if rounds > max_rounds:
             raise NonClosureError(
                 f"return words to {b!r} did not stabilise within {max_rounds} rounds; "
-                "evidence against minimality", partial=tuple(found))
-        word = power_sub.apply(word)
-        if len(word) > 2_000_000:
+                "evidence against minimality", partial=partial())
+        coded = apply_power(coded)
+        if len(coded) > 2_000_000:
             raise NonClosureError(
                 f"iterates of {b!r} grew past the scan budget before the "
-                "return words stabilised", partial=tuple(found))
-        positions = _occurrences(word, b)
+                "return words stabilised", partial=partial())
         before = len(found)
-        for idx in range(len(positions) - 1):
-            candidate = word[positions[idx]:positions[idx + 1]]
-            if candidate not in found:
-                found[candidate] = None
+        _collect_return_words(coded, b_code, found)
         if len(found) == before:
             stable_rounds += 1
         else:
@@ -105,20 +128,35 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
         if stable_rounds < 2 or len(found) == 0:
             continue
         # candidate set is stable; try to close the block decompositions
-        system = _close_blocks(sub, power_sub, b, n, tuple(found))
+        system = _close_coded(sub, apply_power, b, n, [b_code + tail for tail in found])
         if system is not None:
             return system
         stable_rounds = 0
 
 
+def _split_coded(coded: str, b_code: str):
+    """(head before the first b, blocks starting at occurrences of b)."""
+    head, *tails = coded.split(b_code)
+    return head, tuple(b_code + tail for tail in tails)
+
+
 def _close_blocks(sub, power_sub, b, n, words):
-    image_of_b = power_sub.apply((b,))
-    head, seed_blocks = _split_blocks(image_of_b, b)
+    """``_close_coded`` on tuple words, with sigma^N given as ``power_sub``."""
+    return _close_coded(sub, power_sub.apply_coded, b, n, [sub.encode(v) for v in words])
+
+
+def _close_coded(sub, apply_power, b, n, words):
+    """The return-word system over the coded candidate ``words``, or None
+    when some block of a sigma^N image is not among them; ``apply_power``
+    is sigma^N on coded words."""
+    b_code = sub.encode((b,))
+    image_of_b = apply_power(b_code)
+    head, seed_blocks = _split_coded(image_of_b, b_code)
     if len(seed_blocks) < 2:
         raise NonClosureError(
             f"sigma^{n}({b!r}) contains fewer than two occurrences of {b!r}")
     word_set = set(words)
-    has_seed_word = (b,) in word_set
+    has_seed_word = b_code in word_set
     decompositions = {}
     primed_last = {}
     primed_w = {}
@@ -132,14 +170,15 @@ def _close_blocks(sub, power_sub, b, n, words):
         # only the seed-word rule consumes the closed final block
         ok = False
     for v in words:
-        if v == (b,):
+        if v == b_code:
             continue
-        image = power_sub.apply(v)
-        if image[:len(image_of_b)] != image_of_b:
+        image = apply_power(v)
+        if not image.startswith(image_of_b):
             raise BlockPrefixError(
-                f"sigma^{n} of return word {v!r} does not begin with sigma^{n}({b!r})")
-        w_part, blocks = _split_blocks(image[len(image_of_b):], b)
-        decompositions[v] = BlockForm(w_part, blocks)
+                f"sigma^{n} of return word {sub.decode(v)!r} does not begin "
+                f"with sigma^{n}({b!r})")
+        w_part, blocks = _split_coded(image[len(image_of_b):], b_code)
+        decompositions[v] = (w_part, blocks)
         for block in blocks[:-1]:
             if block not in word_set:
                 ok = False
@@ -154,11 +193,17 @@ def _close_blocks(sub, power_sub, b, n, words):
             ok = False
     if not ok:
         return None
+    decode = sub.decode
+    word_of = {v: decode(v) for v in words}
     return ReturnWordSystem(
-        seed_letter=b, power=n, return_words=tuple(words),
-        has_seed_word=has_seed_word, head=head, seed_blocks=seed_blocks,
-        decompositions=decompositions, primed_last=primed_last,
-        primed_w=primed_w, primed_seed_last=primed_seed_last)
+        seed_letter=b, power=n, return_words=tuple(word_of[v] for v in words),
+        has_seed_word=has_seed_word, head=decode(head),
+        seed_blocks=tuple(map(decode, seed_blocks)),
+        decompositions={word_of[v]: BlockForm(decode(w_part), tuple(map(decode, blocks)))
+                        for v, (w_part, blocks) in decompositions.items()},
+        primed_last={word_of[v]: decode(word) for v, word in primed_last.items()},
+        primed_w={word_of[v]: decode(word) for v, word in primed_w.items()},
+        primed_seed_last=decode(primed_seed_last))
 
 
 @dataclass(frozen=True)
@@ -310,6 +355,7 @@ def verify_conjugacy(sub: Substitution, cs: ConjugateSubstitution,
         window = depth * cs.p_block_size + len(rws.head) + 2
         table = LanguageTable(sub, window)
     by_word = {v: _gamma_token(sub, v) for v in rws.return_words}
+    power_sub = sub.power(n_total)
     checks = {"h_legal": 0, "parse_inverts": 0, "intertwine": 0}
     windows = 0
     for z_word in theta_table.legal(depth):
@@ -334,7 +380,7 @@ def verify_conjugacy(sub: Substitution, cs: ConjugateSubstitution,
         checks["parse_inverts"] += 1
         # intertwining on the window: the image of a parsed return-word run
         # under sigma^(N*lift) must parse to theta of its code
-        ok = _check_intertwine(sub, cs, image, codes, by_word, n_total)
+        ok = _check_intertwine(power_sub, cs, codes, by_word)
         if ok is False:
             return ConjugacyReport(False, depth, windows, checks,
                                    counterexample=("intertwine", z_word, image))
@@ -342,10 +388,9 @@ def verify_conjugacy(sub: Substitution, cs: ConjugateSubstitution,
     return ConjugacyReport(True, depth, windows, checks)
 
 
-def _check_intertwine(sub, cs, image, codes, by_word, n_total):
+def _check_intertwine(power_sub, cs, codes, by_word):
     rws = cs.derived.system
     theta = cs.theta
-    power_sub = sub.power(n_total)
     # locate maximal parsed run of complete return words
     starts = [j for j, code in enumerate(codes) if code is not None and code[1] == 1]
     if not starts:
@@ -366,9 +411,8 @@ def _check_intertwine(sub, cs, image, codes, by_word, n_total):
                          for k in range(1, len(cs.derived.alpha[gamma]) + 1))
     expected = theta.apply(tuple(expansion))
     # actual: substitute the run and parse it back
-    run_word = tuple()
-    for gamma in run_gammas:
-        run_word = run_word + cs.derived.alpha[gamma]
+    run_word = tuple(itertools.chain.from_iterable(
+        cs.derived.alpha[gamma] for gamma in run_gammas))
     image_word = power_sub.apply(run_word)
     parsed = _parse_return_positions(image_word, rws.seed_letter, by_word)
     if parsed is None:
@@ -398,13 +442,14 @@ def primitivize(sub: Substitution, depth: int = 6,
 
     ``report``, when given, must be ``decide_tameness(sub)`` (as for
     ``find_seed``); it saves deciding tameness again, and its table is
-    reused by the seed search."""
+    reused by the seed search.  On a wild input, ``table`` is reused by the
+    periodic check when it is the table that check would build."""
     if report is None:
         report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("cannot primitivize an empty subshift")
     if not report.tame:
-        periodic = _periodic_bypass(sub, report)
+        periodic = _periodic_bypass(sub, report, table)
         if periodic is not None:
             return periodic
         raise WildInputError("substitution is wild and not a single periodic orbit")
@@ -435,12 +480,15 @@ class PrimitivizationResult:
         return self.conjugate.theta if self.conjugate else self.bypass
 
 
-def _periodic_bypass(sub: Substitution, report: TamenessReport):
+def _periodic_bypass(sub: Substitution, report: TamenessReport,
+                     table: LanguageTable | None = None):
     """A wild but minimal subshift is one periodic orbit; it equals the
     subshift of the constant-length primitive substitution sending every
     legal letter of the cycle to the periodic word."""
     word = report.witness.periodic_word
-    table = LanguageTable(sub, periodic_search_length(sub, len(word)))
+    length = periodic_search_length(sub, len(word))
+    if table is None or not table.is_default(sub, length):
+        table = LanguageTable(sub, length)
     ring = word * (table.max_length // len(word) + 2)
     factors = {ring[i:i + table.max_length] for i in range(len(word))}
     if not set(table.legal(table.max_length)) <= factors:

@@ -2,13 +2,14 @@
 
 The oracles here deliberately avoid the library's language machinery: they
 expand rule images by hand and enumerate factors directly, so they can
-cross-check it.
+cross-check it.  The generators may use the library to select their inputs.
 """
 
 import random
 
 import pytest
 
+from substdyn.classify import decide_tameness, is_minimal
 from substdyn.core import Substitution, parse_substitution
 
 
@@ -109,6 +110,37 @@ def random_substitution(rng: random.Random, max_letters=3, max_image=4):
         image = tuple(rng.choice(letters) for _ in range(rng.randint(1, max_image)))
         rules.append((letter, image))
     return Substitution(rules, alphabet=tuple(letters))
+
+
+def retoken(sub, names):
+    """The same rule with each letter renamed by ``names``."""
+    return Substitution([(names[a], tuple(names[x] for x in sub.rules[a]))
+                         for a in sub.alphabet],
+                        alphabet=tuple(names[a] for a in sub.alphabet))
+
+
+def random_minimal_nonprimitive(rng):
+    """A rule on expanding letters a, b with the bounded letters c -> c
+    (and d -> c) spliced into their images, kept once it is tame, not
+    primitive and linearly recurrent to its table bound."""
+    while True:
+        bounded = ["c", "d"][:rng.randint(1, 2)]
+        rules = []
+        for letter in ("a", "b"):
+            image = [rng.choice("ab") for _ in range(rng.randint(2, 4))]
+            for _ in range(rng.randint(1, 2)):
+                image.insert(rng.randint(1, len(image) - 1), rng.choice(bounded))
+            rules.append((letter, tuple(image)))
+        rules.append(("c", ("c",)))
+        if "d" in bounded:
+            rules.append(("d", ("c",)))
+        sub = Substitution(rules)
+        if sub.is_primitive():
+            continue
+        report = decide_tameness(sub)
+        if report.tame and not report.empty_subshift and \
+                is_minimal(sub, use_cis=False, report=report).verdict == "yes":
+            return sub
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
-from substdyn.classify import (WildWitness, classify_letters, decide_tameness,
-                               find_seed, frontier_maps, is_minimal,
-                               wild_periodic_word)
+from substdyn import corpus
+from substdyn.classify import (WildWitness, _pointed_shape_elements, classify_letters,
+                               decide_tameness, find_seed, frontier_maps, is_minimal,
+                               tameness_table_length, wild_periodic_word)
 from substdyn.core import PointedWord, parse_substitution
 from substdyn.corpus import sigma_family
 from substdyn.errors import WildInputError, WitnessError
 from substdyn.language import LanguageTable, periodic_point_search
 
-from conftest import brute_bounded_letters, brute_iterate
+from conftest import (brute_bounded_letters, brute_iterate, random_minimal_nonprimitive,
+                      retoken)
 
 
 def test_classification_examples(wild_ab):
@@ -141,3 +145,39 @@ def test_is_minimal(fib, wild_ab, fib_handle):
     assert family.verdict == "yes" and family.constant is not None
     empty = is_minimal(parse_substitution("a -> b\nb -> a\n"))
     assert empty.verdict == "no" and "empty" in empty.reason
+
+
+def _reference_pointed_shape_elements(table, classification):
+    """Decode every admitted word, then keep the pointed-word shape."""
+    elements = []
+    for length in range(2, table.max_length + 1):
+        for word in table.admitted(length):
+            if word[0] in classification.expanding and word[-1] in classification.expanding \
+                    and all(x in classification.bounded for x in word[1:-1]):
+                elements.extend(PointedWord(word, origin) for origin in range(1, length))
+    return elements
+
+
+def _assert_coded_shape_filter_matches(sub):
+    report = decide_tameness(sub)
+    table = LanguageTable(sub, tameness_table_length(sub))
+    coded = _pointed_shape_elements(sub, table, report.classification)
+    reference = _reference_pointed_shape_elements(table, report.classification)
+    assert len(coded) == len(set(coded))
+    assert set(coded) == set(reference) and len(coded) == len(reference)
+    return reference
+
+
+@pytest.mark.parametrize("name", [name for name in corpus.names()
+                                  if name not in ("wild_ab", "empty_swap")])
+def test_coded_shape_filter_matches_decoded_on_corpus(name):
+    _assert_coded_shape_filter_matches(corpus.get(name))
+
+
+def test_coded_shape_filter_matches_decoded_on_seeded_rules():
+    rng = random.Random(23)
+    names = {"a": "a0", "b": "1b", "c": "c", "d": "dd"}
+    for _ in range(6):
+        sub = random_minimal_nonprimitive(rng)
+        assert _assert_coded_shape_filter_matches(sub)
+        assert _assert_coded_shape_filter_matches(retoken(sub, names))

@@ -279,3 +279,33 @@ def test_primitivize_decides_tameness_once(tmp_path, capsys, monkeypatch):
                          "--out-dir", str(tmp_path))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_analyze_wild_decides_once_and_builds_its_table_once(capsys, monkeypatch):
+    import sys
+    from collections import Counter
+    from substdyn.language import LanguageTable
+    built = Counter()
+    original = LanguageTable.__init__
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built[(self.sub, self.max_length, self.margin)] += 1
+
+    calls = []
+    decide = sys.modules["substdyn.classify"].decide_tameness
+
+    def counting_decide(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(LanguageTable, "__init__", counting)
+    for name in ("cli", "primitivize", "classify"):
+        monkeypatch.setattr(sys.modules[f"substdyn.{name}"], "decide_tameness",
+                            counting_decide)
+    code, out, _ = run_cli(capsys, "analyze", "corpus:wild_ab")
+    assert code == 0
+    assert json.loads(out)["primitivization"] is not None
+    # the witness check and the periodic bypass read the analyze table
+    assert sum(built.values()) == 1
+    assert len(calls) == 1

@@ -1,14 +1,24 @@
 import dataclasses
+import random
+import sys
 
 import pytest
 
+from substdyn import corpus
+from substdyn.classify import find_seed
 from substdyn.core import Substitution, parse_substitution
 from substdyn.corpus import sigma_family
-from substdyn.errors import BlockPrefixError, DerivedLengthError, EmptySubshiftError
-from substdyn.primitivize import (ConjugateSubstitution, _close_blocks, build_psi,
-                                  build_theta, primitivize, return_words,
-                                  verify_conjugacy)
+from substdyn.errors import (BlockPrefixError, DerivedLengthError, EmptySubshiftError,
+                             NonClosureError)
+from substdyn.primitivize import (BlockForm, ConjugateSubstitution, ReturnWordSystem,
+                                  _close_blocks, build_psi, build_theta, primitivize,
+                                  return_words, verify_conjugacy)
 from substdyn import intlin
+
+from conftest import random_minimal_nonprimitive, retoken
+
+# the package attribute ``substdyn.primitivize`` is the function
+primitivize_module = sys.modules["substdyn.primitivize"]
 
 
 def gamma_token(i):
@@ -178,3 +188,147 @@ def test_periodic_bypass(wild_ab):
 def test_empty_subshift_guard():
     with pytest.raises(EmptySubshiftError):
         primitivize(parse_substitution("a -> b\nb -> a\n"))
+
+
+# -- the tuple scan that the coded return-word search replaced -------------
+
+def _reference_split_blocks(word, letter):
+    positions = [i for i, x in enumerate(word) if x == letter]
+    if not positions:
+        return word, ()
+    ends = positions[1:] + [len(word)]
+    return word[:positions[0]], tuple(word[s:e] for s, e in zip(positions, ends))
+
+
+def _reference_close_blocks(power_sub, b, n, words):
+    image_of_b = power_sub.apply((b,))
+    head, seed_blocks = _reference_split_blocks(image_of_b, b)
+    if len(seed_blocks) < 2:
+        raise NonClosureError("fewer than two occurrences")
+    word_set = set(words)
+    has_seed_word = (b,) in word_set
+    decompositions, primed_last, primed_w = {}, {}, {}
+    ok = all(block in word_set for block in seed_blocks[:-1])
+    primed_seed_last = seed_blocks[-1] + head
+    if has_seed_word and primed_seed_last not in word_set:
+        ok = False
+    for v in words:
+        if v == (b,):
+            continue
+        image = power_sub.apply(v)
+        assert image[:len(image_of_b)] == image_of_b
+        w_part, blocks = _reference_split_blocks(image[len(image_of_b):], b)
+        decompositions[v] = BlockForm(w_part, blocks)
+        ok = ok and all(block in word_set for block in blocks[:-1])
+        if blocks:
+            primed_last[v] = blocks[-1] + head
+            ok = ok and primed_last[v] in word_set
+            primed_w[v] = seed_blocks[-1] + w_part
+        else:
+            primed_w[v] = seed_blocks[-1] + w_part + head
+        ok = ok and primed_w[v] in word_set
+    if not ok:
+        return None
+    return ReturnWordSystem(
+        seed_letter=b, power=n, return_words=tuple(words),
+        has_seed_word=has_seed_word, head=head, seed_blocks=seed_blocks,
+        decompositions=decompositions, primed_last=primed_last,
+        primed_w=primed_w, primed_seed_last=primed_seed_last)
+
+
+def reference_return_words(sub, seed):
+    """Decode every iterate of sigma^N(b) and scan it letter by letter."""
+    b, n = seed.seed_letter, seed.n_for_doubling
+    max_rounds = 2 ** len(sub.alphabet) * sub.max_image_len
+    power_sub = sub.power(n)
+    found = {}
+    word = (b,)
+    rounds = stable_rounds = 0
+    while True:
+        rounds += 1
+        if rounds > max_rounds:
+            raise NonClosureError("rounds", partial=tuple(found))
+        word = power_sub.apply(word)
+        if len(word) > 2_000_000:
+            raise NonClosureError("budget", partial=tuple(found))
+        positions = [i for i, x in enumerate(word) if x == b]
+        before = len(found)
+        for start, end in zip(positions, positions[1:]):
+            found.setdefault(word[start:end], None)
+        stable_rounds = stable_rounds + 1 if len(found) == before else 0
+        if stable_rounds < 2 or not found:
+            continue
+        system = _reference_close_blocks(power_sub, b, n, tuple(found))
+        if system is not None:
+            return system
+        stable_rounds = 0
+
+
+def _return_word_outcome(search, sub, seed):
+    try:
+        rws = search(sub, seed)
+    except NonClosureError as exc:
+        return ("NonClosureError", exc.partial)
+    # dict equality ignores order, so compare the orders as well
+    return (rws, list(rws.decompositions), list(rws.primed_last), list(rws.primed_w))
+
+
+def _coded_search(sub, seed):
+    return return_words(sub, seed=seed)
+
+
+def _assert_coded_scan_matches(sub, monkeypatch):
+    seed = find_seed(sub)
+    expected = _return_word_outcome(reference_return_words, sub, seed)
+    assert _return_word_outcome(_coded_search, sub, seed) == expected
+    # slices of two letters put a boundary after every occurrence of b
+    with monkeypatch.context() as patch:
+        patch.setattr(primitivize_module, "_SCAN_CHUNK", 2)
+        assert _return_word_outcome(_coded_search, sub, seed) == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", [name for name in corpus.names()
+                                  if name not in ("wild_ab", "empty_swap")])
+def test_coded_return_words_match_tuple_scan_on_corpus(name, monkeypatch):
+    expected = _assert_coded_scan_matches(corpus.get(name), monkeypatch)
+    assert isinstance(expected[0], ReturnWordSystem)
+
+
+def test_coded_return_words_match_tuple_scan_on_seeded_rules(monkeypatch):
+    rng = random.Random(23)
+    names = {"a": "a0", "b": "1b", "c": "c", "d": "dd"}
+    for _ in range(6):
+        sub = random_minimal_nonprimitive(rng)
+        assert isinstance(_assert_coded_scan_matches(sub, monkeypatch)[0], ReturnWordSystem)
+        # multi-character tokens: the coding, not the token text, is scanned
+        _assert_coded_scan_matches(retoken(sub, names), monkeypatch)
+
+
+@pytest.mark.parametrize("rules", ["a -> aab\nb -> bb\n",     # round limit
+                                   "a -> baa\nb -> bbbb\n"])  # scan budget
+def test_coded_return_words_match_tuple_scan_on_non_closure(rules, monkeypatch):
+    outcome = _assert_coded_scan_matches(parse_substitution(rules), monkeypatch)
+    assert outcome[0] == "NonClosureError" and outcome[1]
+
+
+def test_return_words_decode_only_the_system(monkeypatch):
+    sub = corpus.get("asym_trib_b")
+    seed = find_seed(sub)
+    decoded = []
+    original = Substitution.decode
+
+    def counting(self, coded):
+        decoded.append(len(coded))
+        return original(self, coded)
+
+    monkeypatch.setattr(Substitution, "decode", counting)
+    rws = return_words(sub, seed=seed)
+    monkeypatch.undo()
+    forms = rws.decompositions.values()
+    system_letters = (
+        sum(map(len, rws.return_words)) + len(rws.head) + sum(map(len, rws.seed_blocks))
+        + sum(len(form.head) + sum(map(len, form.blocks)) for form in forms)
+        + sum(map(len, rws.primed_last.values())) + sum(map(len, rws.primed_w.values()))
+        + len(rws.primed_seed_last))
+    assert sum(decoded) <= system_letters
