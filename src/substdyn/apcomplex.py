@@ -5,7 +5,9 @@ admissible transitions under the transitive closure of sharing either
 endpoint letter.  The substitution induces a cellular self-map sending each
 edge to the edge path spelled by its rule image.  First cohomology of the
 inverse limit is presented as the direct limit of the transpose of the
-induced matrix on a fundamental cycle basis.
+induced matrix on a fundamental cycle basis.  One routine, ``graph_h1``,
+computes that presentation for the complex and, in ``cis``, for every
+closed invariant subcomplex and every quotient by one.
 """
 
 from __future__ import annotations
@@ -217,49 +219,52 @@ def _spanning_forest(graph: Multigraph):
     return tree, chords
 
 
-def _forest_path(graph, tree, start, goal):
-    """Signed edge path start -> goal inside the forest: list of
-    (edge, +1/-1)."""
-    if start == goal:
-        return []
+def _forest_parents(graph: Multigraph, tree):
+    """Root each tree of the forest at its least vertex.  Returns per vertex
+    (parent vertex, tree edge to it, sign of walking that edge upwards: +1
+    along its orientation), None at a root, and per vertex its depth."""
     adjacency = {}
     for e in tree:
-        adjacency.setdefault(graph.source[e], []).append((e, graph.target[e], 1))
-        adjacency.setdefault(graph.target[e], []).append((e, graph.source[e], -1))
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for edge, other, sign in adjacency.get(node, ()):
-            if other not in parent:
-                parent[other] = (node, edge, sign)
-                queue.append(other)
-    if goal not in parent:
-        raise InconsistentRuleError("forest path between vertices in distinct trees")
-    path = []
-    node = goal
-    while parent[node] is not None:
-        prev, edge, sign = parent[node]
-        path.append((edge, sign))
-        node = prev
-    path.reverse()
-    return path
+        s, t = graph.source[e], graph.target[e]
+        adjacency.setdefault(s, []).append((e, t, -1))
+        adjacency.setdefault(t, []).append((e, s, 1))
+    parent = [None] * graph.vertex_count
+    depth = [-1] * graph.vertex_count
+    for root in range(graph.vertex_count):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e, child, up_sign in adjacency.get(v, ()):
+                if depth[child] < 0:
+                    parent[child] = (v, e, up_sign)
+                    depth[child] = depth[v] + 1
+                    stack.append(child)
+    return parent, depth
 
 
 def cycle_basis(graph: Multigraph):
     """Fundamental cycles of the lex-least spanning forest: one per chord,
-    as integer vectors over the edge order."""
+    as integer vectors over the edge order.  A chord's cycle is the chord
+    followed by the unique forest path from its target back to its source,
+    read by climbing both ends to their common ancestor."""
     tree, chords = _spanning_forest(graph)
+    parent, depth = _forest_parents(graph, tree)
     index = {e: i for i, e in enumerate(graph.edges)}
     basis = []
     for chord in chords:
         vector = [0] * len(graph.edges)
         vector[index[chord]] = 1
-        for edge, sign in _forest_path(graph, tree, graph.target[chord],
-                                       graph.source[chord]):
-            vector[index[edge]] += sign
+        start, goal = graph.target[chord], graph.source[chord]
+        while start != goal:
+            if depth[start] >= depth[goal]:
+                start, edge, sign = parent[start]
+                vector[index[edge]] += sign
+            else:
+                goal, edge, sign = parent[goal]
+                vector[index[edge]] -= sign
         basis.append(tuple(vector))
     return tuple(basis), tuple(chords)
 
@@ -273,31 +278,34 @@ def _boundary(graph, vector):
     return out
 
 
-def h1_presentation(complex_: APComplex, cell_map: CellularMap) -> H1Presentation:
-    graph = complex_.graph
+def graph_h1(graph: Multigraph, on_edges) -> H1Presentation:
+    """H1 of a graph under the cellular self-map sending each edge to the
+    edge path ``on_edges[edge]`` (every step an edge of the graph): the
+    action on the fundamental cycle basis, in chord coordinates, and the
+    direct limit of its transpose."""
     basis, chords = cycle_basis(graph)
     index = {e: i for i, e in enumerate(graph.edges)}
-    chord_positions = [index[c] for c in chords]
-    # chain map: edge -> multiset of path edges (orientation is always +1)
-    chain = {e: [0] * len(graph.edges) for e in graph.edges}
-    for e in graph.edges:
-        for step in cell_map.on_edges[e]:
-            chain[e][index[step]] += 1
     columns = []
     for cycle in basis:
+        # the chain map sends an edge to the sum of its path steps
         image = [0] * len(graph.edges)
-        for i, e in enumerate(graph.edges):
-            if cycle[i]:
-                for j in range(len(graph.edges)):
-                    image[j] += cycle[i] * chain[e][j]
+        for e, coeff in zip(graph.edges, cycle):
+            if coeff:
+                for step in on_edges[e]:
+                    image[index[step]] += coeff
         if any(_boundary(graph, image)):
             raise InconsistentRuleError("image of a basis cycle has nonzero boundary")
-        columns.append([image[p] for p in chord_positions])
+        columns.append([image[index[c]] for c in chords])
     size = len(basis)
     matrix = [[columns[j][i] for j in range(size)] for i in range(size)]
     limit = direct_limit(intlin.transpose(matrix))
     return H1Presentation(size, basis, chords,
                           tuple(tuple(row) for row in matrix), limit)
+
+
+def h1_presentation(complex_: APComplex, cell_map: CellularMap) -> H1Presentation:
+    """H1 of the complex under its cellular self-map."""
+    return graph_h1(complex_.graph, cell_map.on_edges)
 
 
 @dataclass(frozen=True)

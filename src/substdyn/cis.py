@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import intlin
 from .apcomplex import (APComplex, H1Presentation, Multigraph, build_complex,
-                        cycle_basis, direct_limit, _boundary)
+                        graph_h1)
 from .classify import TamenessReport, decide_tameness
 from .collar import CollaredSubstitution
 from .core import Substitution
@@ -250,38 +250,10 @@ def _quotient_multigraph(graph: Multigraph, collapsed_edges):
     def project(v):
         return star if v in collapsed_vertices else remap[v]
 
-    if not collapsed_edges and edge_list:
-        # nothing collapsed: keep all original vertices
-        return _sub_multigraph(graph, edge_list)
     return Multigraph(edge_list,
                       {e: project(graph.source[e]) for e in edge_list},
                       {e: project(graph.target[e]) for e in edge_list},
                       tuple(labels))
-
-
-def _graph_h1(graph: Multigraph, on_edges) -> H1Presentation:
-    basis, chords = cycle_basis(graph)
-    index = {e: i for i, e in enumerate(graph.edges)}
-    chain = {e: [0] * len(graph.edges) for e in graph.edges}
-    for e in graph.edges:
-        for step in on_edges[e]:
-            if step in index:
-                chain[e][index[step]] += 1
-    columns = []
-    for cycle in basis:
-        image = [0] * len(graph.edges)
-        for i, e in enumerate(graph.edges):
-            if cycle[i]:
-                for j in range(len(graph.edges)):
-                    image[j] += cycle[i] * chain[e][j]
-        if any(_boundary(graph, image)):
-            raise SubstdynError("cycle image has nonzero boundary")
-        columns.append([image[index[c]] for c in chords])
-    size = len(basis)
-    matrix = [[columns[j][i] for j in range(size)] for i in range(size)]
-    return H1Presentation(size, basis, chords,
-                          tuple(tuple(row) for row in matrix),
-                          direct_limit(intlin.transpose(matrix)))
 
 
 def _quotient_paths(collared, edges_kept, power):
@@ -381,13 +353,13 @@ def enumerate_cis(collared: CollaredSubstitution,
         if k:
             sub_graph = _sub_multigraph(graph, k)
             count, _ = sub_graph.components()
-            h1 = _graph_h1(sub_graph, _restricted_paths(collared, k, power))
+            h1 = graph_h1(sub_graph, _restricted_paths(collared, k, power))
         else:
             count, h1 = 0, None
         q_graph = _quotient_multigraph(graph, k)
         if q_graph.edges:
             q_count, _ = q_graph.components()
-            q_h1 = _graph_h1(q_graph, _quotient_paths(collared, set(q_graph.edges), power))
+            q_h1 = graph_h1(q_graph, _quotient_paths(collared, set(q_graph.edges), power))
         else:
             q_count, q_h1 = (1 if k else 0), None
         nodes.append(CISNode(name=name, edges=k, period=periods[k],
@@ -432,39 +404,28 @@ def _limit_map_rank(source_h1, source_graph, target_h1, target_graph, project):
 
 
 def _component_map_rank(small_edges, big_edges, graph):
+    """Number of components of the larger node that the smaller one meets."""
     if not small_edges or not big_edges:
         return 0
-    _, small_comp = _sub_multigraph(graph, small_edges).components()
     big_graph = _sub_multigraph(graph, big_edges)
     _, big_comp = big_graph.components()
-    big_vertices = {v: i for i, v in enumerate(
-        sorted({graph.source[e] for e in big_graph.edges}
-               | {graph.target[e] for e in big_graph.edges}))}
-    # component of the big complex met by each small component
-    small_graph = _sub_multigraph(graph, small_edges)
-    hit = set()
-    small_vertices = sorted({graph.source[e] for e in small_graph.edges}
-                            | {graph.target[e] for e in small_graph.edges})
-    for v in small_vertices:
-        hit.add(big_comp[big_vertices[v]])
-    return len(hit)
+    return len({big_comp[big_graph.source[e]] for e in small_edges})
 
 
 def _inclusion_arrows(nodes, graph):
     # ranks of the cohomology restriction maps, which run from the larger
-    # node to the smaller one
+    # node K to the smaller one L.  For 1-dimensional complexes
+    # H^2(K, L) = 0, so restriction H^1(K) -> H^1(L) is onto; direct limits
+    # are exact and both nodes use the lattice power, so it stays onto in
+    # the limit and its rank is that of H^1(L)
     arrows = []
     for small in nodes:
         for big in nodes:
             if not small.edges < big.edges:
                 continue
-            s_graph = _sub_multigraph(graph, small.edges) if small.edges else None
-            b_graph = _sub_multigraph(graph, big.edges)
-            h1_rank = _limit_map_rank(small.h1, s_graph, big.h1, b_graph,
-                                      lambda vec: vec)
             arrows.append({
                 "from": small.name, "to": big.name,
-                "h1_map_rank": h1_rank,
+                "h1_map_rank": small.h1_rank,
                 "h0_map_rank": _component_map_rank(small.edges, big.edges, graph),
             })
     return arrows

@@ -9,8 +9,13 @@ import random
 
 import pytest
 
+from substdyn import intlin
+from substdyn.apcomplex import H1Presentation, _spanning_forest, direct_limit
 from substdyn.classify import decide_tameness, is_minimal
+from substdyn.cis import enumerate_cis
+from substdyn.collar import collar
 from substdyn.core import Substitution, parse_substitution
+from substdyn.errors import SubstdynError
 
 
 def brute_iterate(sub: Substitution, word, n):
@@ -142,6 +147,101 @@ def random_minimal_nonprimitive(rng):
                 is_minimal(sub, use_cis=False, report=report).verdict == "yes":
             return sub
 
+
+def reference_forest_path(graph, tree, start, goal):
+    """Signed edge path start -> goal inside the forest, by a breadth-first
+    search from scratch: list of (edge, +1/-1)."""
+    adjacency = {}
+    for e in tree:
+        adjacency.setdefault(graph.source[e], []).append((e, graph.target[e], 1))
+        adjacency.setdefault(graph.target[e], []).append((e, graph.source[e], -1))
+    parent = {start: None}
+    queue = [start]
+    while queue:
+        node = queue.pop(0)
+        if node == goal:
+            break
+        for edge, other, sign in adjacency.get(node, ()):
+            if other not in parent:
+                parent[other] = (node, edge, sign)
+                queue.append(other)
+    path = []
+    node = goal
+    while parent[node] is not None:
+        prev, edge, sign = parent[node]
+        path.append((edge, sign))
+        node = prev
+    path.reverse()
+    return path
+
+
+def reference_cycle_basis(graph):
+    """Fundamental cycles of the greedy spanning forest, each chord closed
+    by a forest path searched for that chord alone."""
+    tree, chords = _spanning_forest(graph)
+    index = {e: i for i, e in enumerate(graph.edges)}
+    basis = []
+    for chord in chords:
+        vector = [0] * len(graph.edges)
+        vector[index[chord]] = 1
+        for edge, sign in reference_forest_path(graph, tree, graph.target[chord],
+                                                graph.source[chord]):
+            vector[index[edge]] += sign
+        basis.append(tuple(vector))
+    return tuple(basis), tuple(chords)
+
+
+def reference_graph_h1(graph, on_edges):
+    """H1 presentation through the dense edge-by-edge chain matrix and a
+    dense product per basis cycle; steps outside the graph are dropped."""
+    basis, chords = reference_cycle_basis(graph)
+    index = {e: i for i, e in enumerate(graph.edges)}
+    chain = {e: [0] * len(graph.edges) for e in graph.edges}
+    for e in graph.edges:
+        for step in on_edges[e]:
+            if step in index:
+                chain[e][index[step]] += 1
+    columns = []
+    for cycle in basis:
+        image = [0] * len(graph.edges)
+        for i, e in enumerate(graph.edges):
+            if cycle[i]:
+                for j in range(len(graph.edges)):
+                    image[j] += cycle[i] * chain[e][j]
+        boundary = [0] * graph.vertex_count
+        for i, e in enumerate(graph.edges):
+            boundary[graph.target[e]] += image[i]
+            boundary[graph.source[e]] -= image[i]
+        if any(boundary):
+            raise SubstdynError("cycle image has nonzero boundary")
+        columns.append([image[index[c]] for c in chords])
+    size = len(basis)
+    matrix = [[columns[j][i] for j in range(size)] for i in range(size)]
+    return H1Presentation(size, basis, chords,
+                          tuple(tuple(row) for row in matrix),
+                          direct_limit(intlin.transpose(matrix)))
+
+
+def tame_lattices(subs, limit, radius_cap=None, max_letters=None):
+    """(collared, lattice) for the first ``limit`` tame non-empty rules, at
+    the bounded-word radius (capped at ``radius_cap``); rules whose collar
+    exceeds ``max_letters`` or is empty are skipped."""
+    out = []
+    for sub in subs:
+        report = decide_tameness(sub)
+        if report.empty_subshift or not report.tame:
+            continue
+        radius = report.n_sigma if radius_cap is None else min(report.n_sigma, radius_cap)
+        try:
+            collared = collar(sub, radius, max_letters=max_letters)
+        except SubstdynError:
+            continue
+        if not collared.legal:
+            continue
+        out.append((collared, enumerate_cis(collared, tameness=report)))
+        if len(out) >= limit:
+            break
+    return out
 
 @pytest.fixture(scope="session")
 def fib():

@@ -1,14 +1,18 @@
 import pytest
 
-from substdyn import intlin
+import intlin_oracles as intlin
 from substdyn.apcomplex import (build_complex, complex_to_dot, direct_limit,
                                 eventual_rank, h1_presentation, induced_map,
                                 inverse_limit_presentation)
 from substdyn.collar import collar
 from substdyn.core import parse_substitution
-from substdyn.corpus import sigma_family
-from substdyn.errors import WildInputError
+from substdyn.classify import decide_tameness
+from substdyn.corpus import CORPUS, sigma_family
+from substdyn.errors import SubstdynError, WildInputError
 from substdyn.primitivize import primitivize
+
+from conftest import reference_graph_h1
+from test_properties import SUBSTITUTIONS
 
 
 def snf_probes_equal(a, b):
@@ -173,3 +177,27 @@ def test_dot_export(fib_handle):
     assert dot.startswith("digraph")
     assert 'label="0|001"' in dot and 'color="blue"' in dot
     assert dot.count("->") == 7
+
+
+def test_h1_presentation_matches_reference():
+    # every tame corpus entry and the first 60 seeded tame rules, radius 1
+    subs = [entry.substitution() for entry in CORPUS.values()] + SUBSTITUTIONS
+    checked = 0
+    for sub in subs:
+        report = decide_tameness(sub)
+        if report.empty_subshift or not report.tame:
+            continue
+        try:
+            collared = collar(sub, 1, max_letters=600)
+        except SubstdynError:
+            continue
+        if not collared.legal:
+            continue
+        complex_ = build_complex(collared)
+        cell_map = induced_map(collared, complex_)
+        assert h1_presentation(complex_, cell_map) == \
+            reference_graph_h1(complex_.graph, cell_map.on_edges)
+        checked += 1
+        if checked >= 85:
+            break
+    assert checked == 85

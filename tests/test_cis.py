@@ -2,11 +2,18 @@ import pytest
 
 from substdyn.cis import (CanonicalizeContext, brute_force_canonical_sets,
                           cis_canonicalize, diagram_compare, enumerate_cis,
-                          eventual_range, extend_substitution)
+                          eventual_range, extend_substitution, _limit_map_rank,
+                          _quotient_multigraph, _quotient_paths, _restricted_paths,
+                          _sub_multigraph)
 from substdyn.collar import collar
 from substdyn.core import parse_substitution
+from substdyn.corpus import CORPUS
 from substdyn.errors import SubstdynError, SymbolError, WildInputError
+from substdyn.graphs import UnionFind
 from substdyn.language import LanguageTable
+
+from conftest import reference_graph_h1, tame_lattices
+from test_properties import SUBSTITUTIONS
 
 
 def test_fib_handle_lattice(fib_handle):
@@ -303,3 +310,70 @@ def test_context_reuses_only_the_table_it_would_build(fib_handle):
     assert reused.table is not wider
     assert (reused.table.max_length, reused.table.margin) == key[1:]
     assert reused.edge_tokens == own.edge_tokens
+
+
+@pytest.fixture(scope="module")
+def lattice_cases():
+    """Lattices of every tame corpus entry at its bounded-word radius, and
+    of the first 40 seeded tame rules at radius at most 2."""
+    corpus = tame_lattices([entry.substitution() for entry in CORPUS.values()],
+                           len(CORPUS))
+    seeded = tame_lattices(SUBSTITUTIONS, 40, radius_cap=2, max_letters=600)
+    return corpus, seeded
+
+
+def test_node_and_quotient_h1_match_reference(lattice_cases):
+    checked = 0
+    for collared, lattice in lattice_cases[0] + lattice_cases[1]:
+        graph = lattice.complex.graph
+        # nothing collapsed: the quotient is the graph on its touched vertices
+        assert _quotient_multigraph(graph, frozenset()) == \
+            _sub_multigraph(graph, graph.edges)
+        for node in lattice.nodes:
+            if node.edges:
+                paths = _restricted_paths(collared, node.edges, lattice.power)
+                assert node.h1 == reference_graph_h1(
+                    _sub_multigraph(graph, node.edges), paths)
+                checked += 1
+            q_graph = _quotient_multigraph(graph, node.edges)
+            if q_graph.edges:
+                paths = _quotient_paths(collared, set(q_graph.edges), lattice.power)
+                assert node.quotient_h1 == reference_graph_h1(q_graph, paths)
+                checked += 1
+    assert checked >= 150
+
+
+def test_inclusion_arrows_match_limit_map_oracle(lattice_cases):
+    corpus, seeded = lattice_cases
+    for _, lattice in corpus + seeded:
+        graph = lattice.complex.graph
+        for arrow in lattice.inclusion_arrows:
+            small, big = lattice.node(arrow["from"]), lattice.node(arrow["to"])
+            s_graph = _sub_multigraph(graph, small.edges) if small.edges else None
+            b_graph = _sub_multigraph(graph, big.edges)
+            assert arrow["h1_map_rank"] == _limit_map_rank(
+                small.h1, s_graph, big.h1, b_graph, lambda vec: vec)
+            # components of the larger node met by the smaller one
+            uf = UnionFind()
+            for e in big.edges:
+                uf.union(graph.source[e], graph.target[e])
+            met = {uf.find(graph.source[e]) for e in small.edges} | \
+                  {uf.find(graph.target[e]) for e in small.edges}
+            assert arrow["h0_map_rank"] == len(met)
+    assert sum(len(lattice.inclusion_arrows) for _, lattice in corpus) == 148
+
+
+def test_long_exact_sequence_of_each_node(lattice_cases):
+    # the exact sequence of the pair (omega, node), with H^k(omega, node)
+    # the reduced cohomology of the quotient, forces over Q:
+    # (q0 - 1) - h0(omega) + h0(node) - q1 + h1(omega) - h1(node) = 0
+    corpus, seeded = lattice_cases
+    checked = 0
+    for _, lattice in corpus + seeded:
+        omega = lattice.nodes[0]
+        for node in lattice.nonempty_proper():
+            assert (node.quotient_h0 - 1) - omega.h0_rank + node.h0_rank \
+                - node.quotient_h1_rank + omega.h1_rank - node.h1_rank == 0, node.name
+            checked += 1
+    assert sum(len(lattice.nonempty_proper()) for _, lattice in corpus) == 34
+    assert checked > 34

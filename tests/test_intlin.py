@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from substdyn import intlin
+import intlin_oracles as intlin
 
 
 def test_smith_normal_form_examples():

@@ -13,7 +13,7 @@ from substdyn.errors import (BlockPrefixError, DerivedLengthError, EmptySubshift
 from substdyn.primitivize import (BlockForm, ConjugateSubstitution, ReturnWordSystem,
                                   _close_blocks, build_psi, build_theta, primitivize,
                                   return_words, verify_conjugacy)
-from substdyn import intlin
+import intlin_oracles as intlin
 
 from conftest import random_minimal_nonprimitive, retoken
 
