@@ -47,7 +47,10 @@ class CanonicalizeContext:
     this constructor.  An edge is its head vertex followed by one letter
     and its tail vertex preceded by one, so its windows, and hence its
     tokens, are the union of its head's and its tail's; both are vertices
-    because the table's legal words are closed under taking factors."""
+    because the table's legal words are closed under taking factors.  So
+    an edge's tokens lie inside an edge set exactly when both its ends'
+    do, and canonicalizing keeps the edges whose ends are both alive,
+    with no token set of their own to test."""
 
     def __init__(self, collared: CollaredSubstitution,
                  table: LanguageTable | None = None,
@@ -87,23 +90,20 @@ class CanonicalizeContext:
         self.vertices = sorted(table.legal_coded(self.order))
         self.edges = sorted(table.legal_coded(self.order + 1))
         self.vertex_tokens = {v: tokens_of(v) for v in self.vertices}
-        self.edge_tokens = {e: self.vertex_tokens[e[:-1]]
-                            | self.vertex_tokens[e[1:]] for e in self.edges}
+        self._edge_ends = [(e[:-1], e[1:]) for e in self.edges]
 
     def canonicalize(self, edge_set: Subcomplex) -> Subcomplex:
-        keep = set(edge_set)
+        keep = frozenset(edge_set)
         vertices = [v for v in self.vertices if self.vertex_tokens[v] <= keep]
         alive = set(vertices)
         succ: dict[str, list[str]] = {v: [] for v in vertices}
         pred: dict[str, list[str]] = {v: [] for v in vertices}
-        for e in self.edges:
-            if self.edge_tokens[e] <= keep:
-                head, tail = e[:-1], e[1:]
-                if head in alive and tail in alive:
-                    succ[head].append(tail)
-                    pred[tail].append(head)
-        surviving = biinfinite_path_nodes(vertices, lambda v: succ[v],
-                                          lambda v: pred[v])
+        for head, tail in self._edge_ends:
+            if head in alive and tail in alive:
+                succ[head].append(tail)
+                pred[tail].append(head)
+        surviving = biinfinite_path_nodes(vertices, succ.__getitem__,
+                                          pred.__getitem__)
         out = set()
         for v in surviving:
             out.update(self.vertex_tokens[v])
@@ -342,6 +342,7 @@ def enumerate_cis(collared: CollaredSubstitution,
     power = math.lcm(*(periods[k] for k in members))
 
     nodes = []
+    q_graphs = {}
     graph = complex_.graph
     for idx, k in enumerate(members):
         if k == top:
@@ -356,7 +357,7 @@ def enumerate_cis(collared: CollaredSubstitution,
             h1 = graph_h1(sub_graph, _restricted_paths(collared, k, power))
         else:
             count, h1 = 0, None
-        q_graph = _quotient_multigraph(graph, k)
+        q_graph = q_graphs[name] = _quotient_multigraph(graph, k)
         if q_graph.edges:
             q_count, _ = q_graph.components()
             q_h1 = graph_h1(q_graph, _quotient_paths(collared, set(q_graph.edges), power))
@@ -369,7 +370,7 @@ def enumerate_cis(collared: CollaredSubstitution,
     order = [(a.name, b.name) for a in nodes for b in nodes
              if a.edges < b.edges]
     inclusion_arrows = _inclusion_arrows(nodes, graph)
-    quotient_arrows = _quotient_arrows(nodes, graph)
+    quotient_arrows = _quotient_arrows(nodes, q_graphs)
     return CISLattice(collared=collared, complex=complex_, nodes=nodes,
                       order=order, power=power,
                       inclusion_arrows=inclusion_arrows,
@@ -384,23 +385,36 @@ def _cycle_vectors_by_edge(h1: H1Presentation, graph: Multigraph):
     return out
 
 
+def _limit_data(h1: H1Presentation | None, graph: Multigraph):
+    """A presentation's share of every limit map rank it enters: its cycles
+    by edge, its chord positions and A^dim; None when its rank is 0."""
+    if h1 is None or h1.rank == 0:
+        return None
+    return (_cycle_vectors_by_edge(h1, graph),
+            {c: i for i, c in enumerate(h1.chord_edges)},
+            intlin.mat_pow([list(r) for r in h1.matrix], h1.rank))
+
+
+def _limit_data_rank(source, target, project):
+    """Rank of target_A^dim . projection . source_A^dim, from the two
+    presentations' ``_limit_data``."""
+    if source is None or target is None:
+        return 0
+    cycles, _, a_src = source
+    _, chord_index, a_tgt = target
+    proj = [[0] * len(cycles) for _ in range(len(chord_index))]
+    for j, vec in enumerate(cycles):
+        for e, coeff in project(vec).items():
+            if e in chord_index:
+                proj[chord_index[e]][j] = coeff
+    return intlin.rank(intlin.mat_mul(a_tgt, intlin.mat_mul(proj, a_src)))
+
+
 def _limit_map_rank(source_h1, source_graph, target_h1, target_graph, project):
     """Rank of the induced map between direct limits, computed as the rank
     of target_A^dim . projection . source_A^dim."""
-    if source_h1 is None or target_h1 is None:
-        return 0
-    if source_h1.rank == 0 or target_h1.rank == 0:
-        return 0
-    chord_index = {c: i for i, c in enumerate(target_h1.chord_edges)}
-    proj = [[0] * source_h1.rank for _ in range(target_h1.rank)]
-    for j, vec in enumerate(_cycle_vectors_by_edge(source_h1, source_graph)):
-        image = project(vec)
-        for e, coeff in image.items():
-            if e in chord_index:
-                proj[chord_index[e]][j] = coeff
-    a_src = intlin.mat_pow([list(r) for r in source_h1.matrix], source_h1.rank)
-    a_tgt = intlin.mat_pow([list(r) for r in target_h1.matrix], target_h1.rank)
-    return intlin.rank(intlin.mat_mul(a_tgt, intlin.mat_mul(proj, a_src)))
+    return _limit_data_rank(_limit_data(source_h1, source_graph),
+                            _limit_data(target_h1, target_graph), project)
 
 
 def _component_map_rank(small_edges, big_edges, graph):
@@ -431,20 +445,29 @@ def _inclusion_arrows(nodes, graph):
     return arrows
 
 
-def _quotient_arrows(nodes, graph):
+def _quotient_arrows(nodes, q_graphs):
+    # each node's quotient limit data, made once, and only for a node that
+    # some arrow with two nonzero ranks needs
+    limit_data = {}
+
+    def data_of(node):
+        if node.name not in limit_data:
+            limit_data[node.name] = _limit_data(node.quotient_h1, q_graphs[node.name])
+        return limit_data[node.name]
+
     arrows = []
     for small in nodes:
         for big in nodes:
             if not small.edges < big.edges:
                 continue
             # quotient map Omega/small -> Omega/big collapses the extra edges
-            sq = _quotient_multigraph(graph, small.edges)
-            bq = _quotient_multigraph(graph, big.edges)
+            source, target = small.quotient_h1, big.quotient_h1
+            rank = 0
+            if source and target and source.rank and target.rank:
+                def project(vec, extra=big.edges):
+                    return {e: c for e, c in vec.items() if e not in extra}
 
-            def project(vec, extra=big.edges):
-                return {e: c for e, c in vec.items() if e not in extra}
-
-            rank = _limit_map_rank(small.quotient_h1, sq, big.quotient_h1, bq, project)
+                rank = _limit_data_rank(data_of(small), data_of(big), project)
             arrows.append({
                 "from": small.name, "to": big.name,
                 "h1_map_rank": rank,

@@ -1,6 +1,7 @@
 """Small graph utilities: union-find, strongly connected components,
-reachability closures.  All iterative; node order is whatever the caller
-passes in, so results are deterministic for deterministic input order.
+reachability closures, and the nodes on bi-infinite paths (by trimming).
+All iterative; node order is whatever the caller passes in, so results are
+deterministic for deterministic input order.
 """
 
 from __future__ import annotations
@@ -113,12 +114,37 @@ def forward_closure(seeds, succ):
 
 
 def biinfinite_path_nodes(nodes, succ, pred):
-    """Nodes through which a bi-infinite path runs: reachable from a cycle and
-    able to reach a cycle."""
+    """Nodes through which a bi-infinite path runs.
+
+    In a finite graph these are the nodes that survive trimming: delete
+    every node with no successor or no predecessor among the nodes left,
+    and repeat until none can be deleted.  By induction a deleted node lies
+    on no bi-infinite path: all its successors, or all its predecessors,
+    were deleted before it.  Every node left has a successor and a
+    predecessor that are left, so a path through it extends both ways
+    forever.  One queue and
+    two degree counters do the trimming in time linear in the graph.
+
+    ``succ`` and ``pred`` must describe the same edges (an edge u -> v is
+    listed once in ``succ(u)`` and once in ``pred(v)``, parallel edges and
+    self-loops included), between the given nodes only."""
     nodes = list(nodes)
-    cyc = cyclic_nodes(nodes, succ)
-    if not cyc:
-        return set()
-    downstream = forward_closure(cyc, succ)
-    upstream = forward_closure(cyc, pred)
-    return downstream & upstream
+    out_degree = {v: len(succ(v)) for v in nodes}
+    in_degree = {v: len(pred(v)) for v in nodes}
+    queue = [v for v in nodes if not out_degree[v] or not in_degree[v]]
+    removed = set(queue)
+    while queue:
+        node = queue.pop()
+        for child in succ(node):
+            if child not in removed:
+                in_degree[child] -= 1
+                if not in_degree[child]:
+                    removed.add(child)
+                    queue.append(child)
+        for parent in pred(node):
+            if parent not in removed:
+                out_degree[parent] -= 1
+                if not out_degree[parent]:
+                    removed.add(parent)
+                    queue.append(parent)
+    return {v for v in nodes if v not in removed}

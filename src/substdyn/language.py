@@ -9,6 +9,21 @@ many states, so each distinct word is expanded once per table; a group
 recurs too (at other letters, or at a later step once the groups of a
 primitive rule converge), so each distinct group is stepped once per table.
 
+A step expands only leading windows.  Let u = sigma^k(a) with |u| >= cap,
+and take a cap-window of sigma(u) that starts inside sigma(u[i]).  If
+i <= |u| - cap, it lies in sigma(u[i:i + cap]), as no image is empty, and
+starts inside the image of that word's first letter; otherwise it lies in
+sigma of the last cap letters of u.  So the cap-factors of sigma(u) are
+the windows of sigma(w) starting in sigma(w[0]), for each cap-factor w of
+u, together with every window of sigma(tail), where tail is the last cap
+letters of u.  The tail is carried per letter beside the state (tail
+becomes the last cap letters of sigma(tail)), and kept out of it: the
+cap-factors of sigma(u) are determined by those of u, which the expansion
+of every window of every image shows, so a group's successor does not
+depend on whose tail stepped it.  A word's leading windows need only the
+image of its shortest prefix whose image reaches |sigma(w[0])| + cap - 1
+letters.
+
 Only the longest admitted words (length cap) and the shorter whole images
 met along the way are kept.  Every other length is derived top-down: each
 admitted word of length l is a prefix or suffix of an admitted word of
@@ -90,35 +105,60 @@ class LanguageTable:
     def _compute_admitted(self) -> int:
         sub = self.sub
         cap = self._cap
-        # word -> the words its image contributes to the next state; the
+        apply = sub.apply_coded
+        image_len = {c: len(apply(c)) for c in sub.encode(sub.alphabet)}
         # windows are interned so that equal strings are stored once
-        children: dict[str, tuple[str, ...]] = {}
         interned: dict[str, str] = {}
+        # cap-word w -> the windows of sigma(w) starting in sigma(w[0])
+        leading: dict[str, tuple[str, ...]] = {}
 
-        def expand(word):
-            image = sub.apply_coded(word)
+        def lead(word):
+            first = image_len[word[0]]
+            # the shortest prefix whose image reaches first + cap - 1 letters
+            need = first + cap - 1
+            end = 0
+            for letter in word:
+                need -= image_len[letter]
+                end += 1
+                if need <= 0:
+                    break
+            image = apply(word[:end])
+            return tuple(interned.setdefault(w, w)
+                         for w in (image[i:i + cap] for i in range(first)))
+
+        def windows(image):
             if len(image) <= cap:
-                return (interned.setdefault(image, image),)
-            windows = {image[i:i + cap] for i in range(len(image) - cap + 1)}
-            return tuple(interned.setdefault(w, w) for w in windows)
+                return {interned.setdefault(image, image)}
+            return {interned.setdefault(w, w)
+                    for w in {image[i:i + cap] for i in range(len(image) - cap + 1)}}
 
-        state = tuple(frozenset((sub.encode((a,)),)) for a in sub.alphabet)
+        letters = sub.encode(sub.alphabet)
+        state = tuple(frozenset((c,)) for c in letters)
+        # the last cap letters of sigma^k(a) per letter (all of it when
+        # shorter); kept out of the state, which it does not determine
+        tails = list(letters)
         seen = {state: 0}
-        # group -> its successor; the letters' groups often coincide, and
-        # every key and value is a group that some state in seen holds
+        # group -> its successor, which depends on the group alone; the
+        # letters' groups often coincide, and every key and value is a
+        # group that some state in seen holds
         step: dict[frozenset[str], frozenset[str]] = {}
         k = 0
         while True:
             nxt = []
-            for group in state:
+            for index, group in enumerate(state):
+                tail = tails[index]
+                image = apply(tail)
+                tails[index] = image[-cap:]
                 new_group = step.get(group)
                 if new_group is None:
-                    grown_group = set()
-                    for word in group:
-                        grown = children.get(word)
-                        if grown is None:
-                            grown = children[word] = expand(word)
-                        grown_group.update(grown)
+                    grown_group = windows(image)
+                    # a shorter tail is all of sigma^k(a), the group's one word
+                    if len(tail) == cap:
+                        for word in group:
+                            grown = leading.get(word)
+                            if grown is None:
+                                grown = leading[word] = lead(word)
+                            grown_group.update(grown)
                     new_group = step[group] = frozenset(grown_group)
                 nxt.append(new_group)
             state = tuple(nxt)
@@ -126,15 +166,15 @@ class LanguageTable:
             if state in seen:
                 break
             seen[state] = k
-        # every word of every state has been expanded, the repeated final
-        # state included
+        # the final state repeats one in seen, so seen holds every word
         pool = set()
-        for word in children:
-            if len(word) == cap:
-                pool.add(word)
-            else:
+        for state in seen:
+            for group in state:
+                pool.update(group)
+        for word in pool:
+            if len(word) < cap:
                 self._short.setdefault(len(word), []).append(word)
-        self._admitted_cache[cap] = frozenset(pool)
+        self._admitted_cache[cap] = frozenset(w for w in pool if len(w) == cap)
         return k
 
     def _admitted_exact_length(self, length: int) -> frozenset[str]:
@@ -184,8 +224,7 @@ class LanguageTable:
             head, tail = word[:-1], word[1:]
             succ_map[head].append(tail)
             pred_map[tail].append(head)
-        nodes = sorted(vertices)
-        return biinfinite_path_nodes(nodes, lambda v: succ_map[v], lambda v: pred_map[v])
+        return biinfinite_path_nodes(vertices, succ_map.__getitem__, pred_map.__getitem__)
 
     def _compute_legal(self):
         top = self.max_length

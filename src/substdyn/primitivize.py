@@ -64,6 +64,9 @@ def _occurrences(word: Word, letter: str) -> list[int]:
 # memory, not its result.
 _SCAN_CHUNK = 1 << 16
 
+# Letters an iterate may have before the return-word scan gives up.
+_SCAN_BUDGET = 2_000_000
+
 
 def _collect_return_words(coded: str, b_code: str, found: dict[str, None]):
     """Add to ``found``, in order of first appearance, the b-free tail u of
@@ -96,8 +99,9 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
     if max_rounds is None:
         max_rounds = 2 ** len(sub.alphabet) * sub.max_image_len
     # sigma^N on coded words, as one str.translate table
+    images = {c: sub.apply_coded(c, n) for c in sub.encode(sub.alphabet)}
     apply_power = operator.methodcaller(
-        "translate", {ord(c): sub.apply_coded(c, n) for c in sub.encode(sub.alphabet)})
+        "translate", {ord(c): image for c, image in images.items()})
     b_code = sub.encode((b,))
 
     found: dict[str, None] = {}   # b-free tails, insertion-ordered
@@ -114,11 +118,19 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
             raise NonClosureError(
                 f"return words to {b!r} did not stabilise within {max_rounds} rounds; "
                 "evidence against minimality", partial=partial())
-        coded = apply_power(coded)
-        if len(coded) > 2_000_000:
+        # the next iterate's length, from the letter counts, before it is built
+        if sum(coded.count(c) * len(image) for c, image in images.items()) > _SCAN_BUDGET:
+            # the words found so far may already close, unconfirmed by a
+            # second stable round
+            if found:
+                system = _close_coded(sub, apply_power, b, n,
+                                      [b_code + tail for tail in found])
+                if system is not None:
+                    return system
             raise NonClosureError(
                 f"iterates of {b!r} grew past the scan budget before the "
                 "return words stabilised", partial=partial())
+        coded = apply_power(coded)
         before = len(found)
         _collect_return_words(coded, b_code, found)
         if len(found) == before:

@@ -16,6 +16,7 @@ from substdyn.cis import enumerate_cis
 from substdyn.collar import collar
 from substdyn.core import Substitution, parse_substitution
 from substdyn.errors import SubstdynError
+from substdyn.graphs import cyclic_nodes, forward_closure
 
 
 def brute_iterate(sub: Substitution, word, n):
@@ -220,6 +221,20 @@ def reference_graph_h1(graph, on_edges):
     return H1Presentation(size, basis, chords,
                           tuple(tuple(row) for row in matrix),
                           direct_limit(intlin.transpose(matrix)))
+
+
+def reference_biinfinite_path_nodes(nodes, succ, pred):
+    """Nodes through which a bi-infinite path runs, as reachable from a
+    cycle and able to reach a cycle: strongly connected components for the
+    cycles, then a forward closure along each direction (the construction
+    before trimming)."""
+    nodes = list(nodes)
+    cyc = cyclic_nodes(nodes, succ)
+    if not cyc:
+        return set()
+    downstream = forward_closure(cyc, succ)
+    upstream = forward_closure(cyc, pred)
+    return downstream & upstream
 
 
 def tame_lattices(subs, limit, radius_cap=None, max_letters=None):

@@ -1,10 +1,11 @@
 import pytest
 
+from substdyn import intlin
 from substdyn.cis import (CanonicalizeContext, brute_force_canonical_sets,
                           cis_canonicalize, diagram_compare, enumerate_cis,
                           eventual_range, extend_substitution, _limit_map_rank,
-                          _quotient_multigraph, _quotient_paths, _restricted_paths,
-                          _sub_multigraph)
+                          _quotient_arrows, _quotient_multigraph, _quotient_paths,
+                          _restricted_paths, _sub_multigraph)
 from substdyn.collar import collar
 from substdyn.core import parse_substitution
 from substdyn.corpus import CORPUS
@@ -291,7 +292,8 @@ def test_context_tokens_match_reference():
             context = CanonicalizeContext(collar(sub, radius), shared=report.table)
             for v, tokens in context.vertex_tokens.items():
                 assert tokens == reference_tokens_of(context, v), (name, radius, v)
-            for e, tokens in context.edge_tokens.items():
+            for e in context.edges:
+                tokens = context.vertex_tokens[e[:-1]] | context.vertex_tokens[e[1:]]
                 assert tokens == reference_tokens_of(context, e), (name, radius, e)
             checked += 1
     assert checked >= 40
@@ -309,7 +311,7 @@ def test_context_reuses_only_the_table_it_would_build(fib_handle):
     reused = CanonicalizeContext(collared, shared=wider)
     assert reused.table is not wider
     assert (reused.table.max_length, reused.table.margin) == key[1:]
-    assert reused.edge_tokens == own.edge_tokens
+    assert reused.vertex_tokens == own.vertex_tokens and reused.edges == own.edges
 
 
 @pytest.fixture(scope="module")
@@ -377,3 +379,51 @@ def test_long_exact_sequence_of_each_node(lattice_cases):
             checked += 1
     assert sum(len(lattice.nonempty_proper()) for _, lattice in corpus) == 34
     assert checked > 34
+
+
+def reference_quotient_map_rank(graph, small, big):
+    """The quotient arrow's rank as computed per ordered pair before each
+    node's data was made once: both quotient graphs, both cycle bases and
+    both matrix powers rebuilt for the pair."""
+    source, target = small.quotient_h1, big.quotient_h1
+    if source is None or target is None or source.rank == 0 or target.rank == 0:
+        return 0
+    source_graph = _quotient_multigraph(graph, small.edges)
+    chord_index = {c: i for i, c in enumerate(target.chord_edges)}
+    proj = [[0] * source.rank for _ in range(target.rank)]
+    for j, cycle in enumerate(source.basis):
+        for i, e in enumerate(source_graph.edges):
+            if cycle[i] and e not in big.edges and e in chord_index:
+                proj[chord_index[e]][j] = cycle[i]
+    a_src = intlin.mat_pow([list(r) for r in source.matrix], source.rank)
+    a_tgt = intlin.mat_pow([list(r) for r in target.matrix], target.rank)
+    return intlin.rank(intlin.mat_mul(a_tgt, intlin.mat_mul(proj, a_src)))
+
+
+def test_quotient_arrows_match_per_pair_reference(lattice_cases, monkeypatch):
+    calls = []
+    mat_pow = intlin.mat_pow
+
+    def counting(matrix, exponent):
+        calls.append(exponent)
+        return mat_pow(matrix, exponent)
+
+    corpus, seeded = lattice_cases
+    checked = 0
+    for _, lattice in corpus + seeded:
+        graph = lattice.complex.graph
+        for arrow in lattice.quotient_arrows:
+            small, big = lattice.node(arrow["from"]), lattice.node(arrow["to"])
+            assert arrow["h1_map_rank"] == reference_quotient_map_rank(graph, small, big)
+            checked += 1
+        # each node's power is taken at most once per lattice
+        q_graphs = {node.name: _quotient_multigraph(graph, node.edges)
+                    for node in lattice.nodes}
+        monkeypatch.setattr(intlin, "mat_pow", counting)
+        calls.clear()
+        assert _quotient_arrows(lattice.nodes, q_graphs) == lattice.quotient_arrows
+        monkeypatch.undo()
+        assert len(calls) <= sum(1 for node in lattice.nodes
+                                 if node.quotient_h1 and node.quotient_h1.rank)
+    assert sum(len(lattice.quotient_arrows) for _, lattice in corpus) == 148
+    assert checked > 148

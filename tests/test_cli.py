@@ -309,3 +309,16 @@ def test_analyze_wild_decides_once_and_builds_its_table_once(capsys, monkeypatch
     # the witness check and the periodic bypass read the analyze table
     assert sum(built.values()) == 1
     assert len(calls) == 1
+
+
+def test_primitivize_closes_the_words_found_before_the_scan_budget(tmp_path, capsys):
+    # sigma^6 multiplies an iterate by 64: the fourth would pass the scan
+    # budget before a second stable round, but the 7 return words found by
+    # the second already close
+    rule = tmp_path / "bcc.txt"
+    rule.write_text("a -> bcc\nb -> cac\nc -> a\n")
+    code, out, _ = run_cli(capsys, "primitivize", str(rule), "--out-dir", str(tmp_path))
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["return_words"]) == 7
+    assert data["verification"]["ok"] is True

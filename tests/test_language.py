@@ -4,14 +4,14 @@ import random
 import pytest
 
 from substdyn.apcomplex import inverse_limit_presentation
-from substdyn.core import parse_substitution
-from substdyn.corpus import CORPUS
+from substdyn.core import Substitution, parse_substitution
+from substdyn.corpus import CORPUS, sigma_family
 from substdyn.errors import MarginError
 from substdyn.graphs import biinfinite_path_nodes
 from substdyn.language import (LanguageTable, is_admissible,
                                periodic_point_search, periodic_search_length)
 
-from conftest import brute_admitted, random_substitution
+from conftest import brute_admitted, random_substitution, reference_biinfinite_path_nodes
 
 
 def words(sub, items):
@@ -260,3 +260,99 @@ def test_periodic_search_reads_candidates_from_the_table():
     # enumerating every word of length <= 8 would visit 5^8 of them
     sub = parse_substitution("a -> ab\nb -> bc\nc -> cd\nd -> de\ne -> ea\n")
     assert periodic_point_search(sub, 8) == []
+
+
+def reference_kept_words(sub, cap):
+    """Every word the per-letter states hold, expanding every window of
+    every image (the construction before leading windows), and the number
+    of steps to the first repeated state."""
+    kept = set()
+    state = tuple(frozenset((sub.encode((a,)),)) for a in sub.alphabet)
+    seen = {state}
+    while True:
+        nxt = []
+        for group in state:
+            kept.update(group)
+            grown = set()
+            for word in group:
+                image = sub.apply_coded(word)
+                grown.update(_factors([image], cap) if len(image) > cap else [image])
+            nxt.append(frozenset(grown))
+        state = tuple(nxt)
+        if state in seen:
+            return kept, len(seen)
+        seen.add(state)
+
+
+def _window_cases():
+    cases = [(name, entry.substitution()) for name, entry in CORPUS.items()]
+    cases += [(f"sigma_family_{n}", sigma_family(n)) for n in range(2, 7)]
+    cases += [("cycle_3", parse_substitution("a -> b\nb -> c\nc -> a\n")),
+              ("fixed_and_swap", parse_substitution("a -> a\nb -> c\nc -> b\n"))]
+    rng = random.Random(20261019)
+    for i in range(60):
+        cases.append((f"seeded_{i}", random_substitution(
+            rng, max_letters=4, max_image=rng.choice((1, 2, 3, 4)))))
+    return cases
+
+
+WINDOW_CASES = _window_cases()
+
+
+def test_window_cases_cover_short_images_and_empty_subshifts():
+    short = [sub for _, sub in WINDOW_CASES
+             if any(len(image) == 1 for image in sub.rules.values())
+             and sub.max_image_len > 1]
+    empty = [sub for _, sub in WINDOW_CASES if LanguageTable(sub, 2).empty_subshift]
+    assert len(short) >= 20 and len(empty) >= 5
+
+
+@pytest.mark.parametrize("sub", [sub for _, sub in WINDOW_CASES],
+                         ids=[name for name, _ in WINDOW_CASES])
+def test_leading_windows_match_full_expansion(sub, monkeypatch):
+    # the legal sets are checked against the cycle-closure construction
+    # of the bi-infinite Rauzy vertices, not against trimming
+    monkeypatch.setitem(globals(), "biinfinite_path_nodes",
+                        reference_biinfinite_path_nodes)
+    for max_length, margin in ((1, None), (4, None), (9, None), (3, 5)):
+        table = LanguageTable(sub, max_length, margin=margin)
+        cap = table._cap
+        kept, stabilized_at = reference_kept_words(sub, cap)
+        assert table.stabilized_at == stabilized_at
+        assert table.admitted_coded(cap) == {w for w in kept if len(w) == cap}
+        short = [w for words in table._short.values() for w in words]
+        assert sorted(short) == sorted(w for w in kept if len(w) < cap)
+        # every length walks down from the cap afresh past max_length, so
+        # long caps are sampled
+        lengths = range(cap + 1) if cap <= 64 else \
+            [*range(max_length + 2), cap // 2, cap - 1, cap]
+        for length in lengths:
+            expected = _factors(kept, length) if length else {""}
+            assert table.admitted_coded(length) == expected, (max_length, length)
+        assert table.empty_subshift == (not _factors(kept, cap))
+        if table.empty_subshift:
+            assert all(not table.legal_coded(length)
+                       for length in range(1, max_length + 1))
+            continue
+        _, legal, exact, _ = reference_language(sub, max_length, table.margin)
+        for length in range(1, max_length + 1):
+            assert table.legal_coded(length) == legal[length], (max_length, length)
+        assert table.legal_exact == exact
+
+
+def test_leading_windows_bound_the_expanded_letters(monkeypatch):
+    # expanding every window of every cap-word returned 246,479 letters
+    # here; the leading windows and the per-letter tails return under 50k
+    letters = []
+    original = Substitution.apply_coded
+
+    def counting(self, coded, n=1):
+        out = original(self, coded, n)
+        letters.append(len(out))
+        return out
+
+    monkeypatch.setattr(Substitution, "apply_coded", counting)
+    table = LanguageTable(sigma_family(5), 84)
+    monkeypatch.undo()
+    assert table._cap == 86
+    assert sum(letters) <= 60_000
