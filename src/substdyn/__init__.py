@@ -31,9 +31,8 @@ from .apcomplex import (APComplex, CellularMap, DirectLimit, H1Presentation,
                         h1_presentation, induced_map,
                         inverse_limit_presentation)
 from .cis import (CISLattice, CISNode, CanonicalizeContext, DiagramComparison,
-                  brute_force_canonical_sets, cis_canonicalize,
-                  diagram_compare, enumerate_cis, eventual_range,
-                  extend_substitution, lattice_to_dot)
+                  diagram_compare, enumerate_cis, extend_substitution,
+                  lattice_to_dot)
 from . import corpus, errors, intlin
 
 __all__ = [
@@ -44,11 +43,10 @@ __all__ = [
     "LetterClassification", "MinimalityResult", "PointedWord",
     "PrimitivizationResult", "ReturnWordSystem", "SeedResult", "Substitution",
     "TamenessReport", "WildWitness", "Word", "border_forcing_level",
-    "brute_force_canonical_sets", "build_complex",
-    "build_psi", "build_theta", "cis_canonicalize", "classify_letters",
+    "build_complex", "build_psi", "build_theta", "classify_letters",
     "collar", "complex_to_dot", "corpus", "decide_tameness",
     "diagram_compare", "direct_limit", "enumerate_cis", "errors",
-    "eventual_range", "eventual_rank", "extend_substitution", "find_seed",
+    "eventual_rank", "extend_substitution", "find_seed",
     "forget", "forgetful_map", "h1_presentation", "induced_map", "intlin",
     "inverse_limit_presentation", "is_admissible", "is_minimal",
     "lattice_to_dot", "load_substitution", "parse_substitution",

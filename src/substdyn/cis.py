@@ -8,6 +8,15 @@ graph).  Canonicalization is monotone, deflationary and idempotent, and any
 canonical set strictly below another is reachable from it by deleting one
 edge and re-canonicalizing; the lattice is therefore enumerated completely
 by a downward deletion closure from the full complex.
+
+Almost every vertex of that transition graph has one predecessor and one
+successor, and a bi-infinite path through such a vertex runs along the
+whole maximal chain of them, from one special vertex (in- or out-degree
+not 1) to the next.  So a chain's vertices live or die together: all of
+them survive exactly when all are alive and both ends survive.
+Canonicalization therefore trims only the reduced graph of special vertices
+and chains (Cassaigne's reduced Rauzy graph), plus the pure cycles that
+hold no special vertex, and each call costs the size of that graph.
 """
 
 from __future__ import annotations
@@ -50,7 +59,22 @@ class CanonicalizeContext:
     because the table's legal words are closed under taking factors.  So
     an edge's tokens lie inside an edge set exactly when both its ends'
     do, and canonicalizing keeps the edges whose ends are both alive,
-    with no token set of their own to test."""
+    with no token set of their own to test.
+
+    Canonicalizing runs on the reduced Rauzy graph, built once here.  Its
+    nodes are the special vertices, whose in- or out-degree is not 1.
+    Every other vertex has one predecessor and one successor, so it lies
+    either on a chain, a maximal path from one special vertex to another
+    through such vertices, or on a pure cycle made of them alone.  A path
+    through a chain's internal vertex runs along the whole chain, so that
+    vertex lies on a bi-infinite path exactly when every vertex of its
+    chain is alive and both ends lie on bi-infinite paths; and a special
+    vertex lies on one exactly when it does in the graph of special
+    vertices and live chains, since a path leaving a special vertex
+    follows a whole chain to the next.  A pure cycle survives exactly when
+    all its vertices are alive.  Each chain and cycle carries the union of
+    its vertices' tokens, so one call tests and trims only the special
+    vertices, the chains and the cycles."""
 
     def __init__(self, collared: CollaredSubstitution,
                  table: LanguageTable | None = None,
@@ -87,40 +111,65 @@ class CanonicalizeContext:
                 out.add(token)
             return frozenset(out)
 
-        self.vertices = sorted(table.legal_coded(self.order))
         self.edges = sorted(table.legal_coded(self.order + 1))
-        self.vertex_tokens = {v: tokens_of(v) for v in self.vertices}
-        self._edge_ends = [(e[:-1], e[1:]) for e in self.edges]
+        self.vertex_tokens = {v: tokens_of(v)
+                              for v in sorted(table.legal_coded(self.order))}
+        succ: dict[str, list[str]] = {v: [] for v in self.vertex_tokens}
+        in_degree = dict.fromkeys(self.vertex_tokens, 0)
+        for e in self.edges:
+            succ[e[:-1]].append(e[1:])
+            in_degree[e[1:]] += 1
+        self.special = [v for v in self.vertex_tokens
+                        if len(succ[v]) != 1 or in_degree[v] != 1]
+        placed = set(self.special)
+
+        def walk(v):
+            # the end and the tokens of the walk from v to a placed vertex;
+            # a vertex off the special ones has one predecessor, so no two
+            # walks share it
+            tokens = set()
+            while v not in placed:
+                placed.add(v)
+                tokens.update(self.vertex_tokens[v])
+                v = succ[v][0]
+            return v, frozenset(tokens)
+
+        # (head, tail, tokens of the internal vertices) per chain
+        self.chains: list[tuple[str, str, frozenset]] = []
+        for head in self.special:
+            for v in succ[head]:
+                self.chains.append((head, *walk(v)))
+        # the vertices no chain reached make up the pure cycles
+        self.cycles = [walk(v)[1] for v in self.vertex_tokens if v not in placed]
 
     def canonicalize(self, edge_set: Subcomplex) -> Subcomplex:
         keep = frozenset(edge_set)
-        vertices = [v for v in self.vertices if self.vertex_tokens[v] <= keep]
-        alive = set(vertices)
-        succ: dict[str, list[str]] = {v: [] for v in vertices}
-        pred: dict[str, list[str]] = {v: [] for v in vertices}
-        for head, tail in self._edge_ends:
-            if head in alive and tail in alive:
+        tokens_of = self.vertex_tokens
+        alive = [v for v in self.special if tokens_of[v] <= keep]
+        succ: dict[str, list[str]] = {v: [] for v in alive}
+        pred: dict[str, list[str]] = {v: [] for v in alive}
+        live = []
+        for head, tail, tokens in self.chains:
+            if head in succ and tail in succ and tokens <= keep:
                 succ[head].append(tail)
                 pred[tail].append(head)
-        surviving = biinfinite_path_nodes(vertices, succ.__getitem__,
+                live.append((head, tail, tokens))
+        surviving = biinfinite_path_nodes(alive, succ.__getitem__,
                                           pred.__getitem__)
         out = set()
         for v in surviving:
-            out.update(self.vertex_tokens[v])
+            out.update(tokens_of[v])
+        for head, tail, tokens in live:
+            if head in surviving and tail in surviving:
+                out.update(tokens)
+        for tokens in self.cycles:
+            if tokens <= keep:
+                out.update(tokens)
         return frozenset(out)
 
 
 def _context_text(sub: Substitution, context) -> str:
     return sub.format_word(context).replace(" ", ".")
-
-
-def cis_canonicalize(edges: Subcomplex, collared: CollaredSubstitution,
-                     context: CanonicalizeContext | None = None) -> Subcomplex:
-    """Letters of the largest closed invariant subspace whose sequences use
-    only the given letters.  Idempotent, monotone and deflationary."""
-    if context is None:
-        context = CanonicalizeContext(collared)
-    return context.canonicalize(edges)
 
 
 def image_period(edges: Subcomplex, collared: CollaredSubstitution,
@@ -148,31 +197,6 @@ def edge_image(edges, collared: CollaredSubstitution) -> Subcomplex:
     for e in edges:
         out.update(collared.sub.rules[e])
     return frozenset(out)
-
-
-def eventual_range(edges: Subcomplex, collared: CollaredSubstitution,
-                   power: int = 1) -> Subcomplex:
-    """Union of the cycle of the iterated edge-image sets: the stable image
-    of the subcomplex under the induced map.  Idempotent."""
-    def step(k):
-        out = k
-        for _ in range(power):
-            out = edge_image(out, collared)
-        return out
-
-    seen = {frozenset(edges): 0}
-    orbit = [frozenset(edges)]
-    while True:
-        nxt = step(orbit[-1])
-        if nxt in seen:
-            start = seen[nxt]
-            cycle = orbit[start:]
-            union = set()
-            for member in cycle:
-                union.update(member)
-            return frozenset(union)
-        seen[nxt] = len(orbit)
-        orbit.append(nxt)
 
 
 @dataclass(frozen=True)
@@ -473,22 +497,6 @@ def _quotient_arrows(nodes, q_graphs):
                 "h1_map_rank": rank,
             })
     return arrows
-
-
-def brute_force_canonical_sets(collared: CollaredSubstitution,
-                               context: CanonicalizeContext | None = None
-                               ) -> set[Subcomplex]:
-    """All canonicalizations of all edge subsets; exponential, for
-    cross-checking small complexes only."""
-    complex_ = build_complex(collared)
-    if context is None:
-        context = CanonicalizeContext(collared)
-    edges = sorted(complex_.edges)
-    out = set()
-    for bits in range(1 << len(edges)):
-        subset = frozenset(e for i, e in enumerate(edges) if bits >> i & 1)
-        out.add(context.canonicalize(subset))
-    return out
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,29 @@ def reference_biinfinite_path_nodes(nodes, succ, pred):
     return downstream & upstream
 
 
+def reference_canonicalize(context, edge_set):
+    """A context's canonicalization vertex by vertex on the whole Rauzy
+    graph: keep the vertices whose tokens lie inside the edge set and the
+    edges between them, trim with the cycle-closure construction, and
+    return the surviving vertices' tokens (the construction before the
+    reduced graph)."""
+    keep = frozenset(edge_set)
+    vertices = [v for v, tokens in context.vertex_tokens.items() if tokens <= keep]
+    alive = set(vertices)
+    succ = {v: [] for v in vertices}
+    pred = {v: [] for v in vertices}
+    for e in context.edges:
+        head, tail = e[:-1], e[1:]
+        if head in alive and tail in alive:
+            succ[head].append(tail)
+            pred[tail].append(head)
+    out = set()
+    for v in reference_biinfinite_path_nodes(vertices, succ.__getitem__,
+                                             pred.__getitem__):
+        out.update(context.vertex_tokens[v])
+    return frozenset(out)
+
+
 def tame_lattices(subs, limit, radius_cap=None, max_letters=None):
     """(collared, lattice) for the first ``limit`` tame non-empty rules, at
     the bounded-word radius (capped at ``radius_cap``); rules whose collar

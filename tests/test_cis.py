@@ -1,9 +1,13 @@
+import contextlib
+import io
+import itertools
+import random
+
 import pytest
 
 from substdyn import intlin
-from substdyn.cis import (CanonicalizeContext, brute_force_canonical_sets,
-                          cis_canonicalize, diagram_compare, enumerate_cis,
-                          eventual_range, extend_substitution, _limit_map_rank,
+from substdyn.cis import (CanonicalizeContext, diagram_compare, edge_image,
+                          enumerate_cis, extend_substitution, _limit_map_rank,
                           _quotient_arrows, _quotient_multigraph, _quotient_paths,
                           _restricted_paths, _sub_multigraph)
 from substdyn.collar import collar
@@ -13,7 +17,8 @@ from substdyn.errors import SubstdynError, SymbolError, WildInputError
 from substdyn.graphs import UnionFind
 from substdyn.language import LanguageTable
 
-from conftest import reference_graph_h1, tame_lattices
+from cis_oracles import brute_force_canonical_sets, cis_canonicalize, eventual_range
+from conftest import reference_canonicalize, reference_graph_h1, tame_lattices
 from test_properties import SUBSTITUTIONS
 
 
@@ -312,6 +317,107 @@ def test_context_reuses_only_the_table_it_would_build(fib_handle):
     assert reused.table is not wider
     assert (reused.table.max_length, reused.table.margin) == key[1:]
     assert reused.vertex_tokens == own.vertex_tokens and reused.edges == own.edges
+
+
+def _analyze_contexts(monkeypatch):
+    """Every context that ``analyze`` builds over the corpus, in order."""
+    from substdyn import cli
+    contexts = []
+    build = CanonicalizeContext.__init__
+
+    def recording(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        contexts.append(self)
+
+    monkeypatch.setattr(CanonicalizeContext, "__init__", recording)
+    for name in CORPUS:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["analyze", f"corpus:{name}"])
+    monkeypatch.undo()
+    return contexts
+
+
+def _canonicalize_inputs(context, lattice, rng):
+    """Single-token deletions from every lattice node, every pair's union
+    and meet, each node's edge image, and seeded random subsets."""
+    nodes = [node.edges for node in lattice.nodes]
+    inputs = [node - {e} for node in nodes for e in sorted(node)]
+    for a, b in itertools.combinations(nodes, 2):
+        inputs += [a | b, a & b]
+    inputs += [edge_image(node, context.collared) for node in nodes]
+    letters = sorted(context.collared.legal)
+    for _ in range(20):
+        density = rng.random()
+        inputs.append(frozenset(e for e in letters if rng.random() < density))
+    return inputs
+
+
+def _shapes(context, keep):
+    """The reduced-graph shapes one canonicalization of ``keep`` exercises."""
+    alive = {v for v in context.special if context.vertex_tokens[v] <= keep}
+    live = [(head, tail) for head, tail, tokens in context.chains
+            if head in alive and tail in alive and tokens <= keep]
+    shapes = set()
+    if any(tokens <= keep for tokens in context.cycles):
+        shapes.add("pure cycle beside special vertices" if context.special
+                   else "pure cycle alone")
+    if any(head == tail for head, tail in live):
+        shapes.add("self-loop chain")
+    if len(set(live)) < len(live):
+        shapes.add("parallel chains")
+    if context.vertex_tokens and not alive and \
+            not any(tokens <= keep for tokens in context.cycles):
+        shapes.add("empty vertex set")
+    return shapes
+
+
+def test_canonicalize_matches_per_vertex_reference(monkeypatch):
+    corpus_contexts = _analyze_contexts(monkeypatch)
+    assert len(corpus_contexts) == 25
+    cases = [(context, enumerate_cis(context.collared, context=context))
+             for context in corpus_contexts]
+    # the first 50 tame seeded rules at radius at most 2; the 49th has a
+    # pure cycle beside special vertices
+    cases += [(CanonicalizeContext(collared), lattice) for collared, lattice
+              in tame_lattices(SUBSTITUTIONS, 50, radius_cap=2, max_letters=600)]
+    rng = random.Random(20261018)
+    shapes = set()
+    checked = 0
+    for context, lattice in cases:
+        for keep in _canonicalize_inputs(context, lattice, rng):
+            assert context.canonicalize(keep) == reference_canonicalize(context, keep)
+            shapes |= _shapes(context, keep)
+            checked += 1
+    assert shapes == {"pure cycle alone", "pure cycle beside special vertices",
+                      "self-loop chain", "parallel chains", "empty vertex set"}
+    assert checked >= 3000
+
+
+def test_canonicalize_trims_only_special_vertices(monkeypatch):
+    # sigma_5 at its bounded-word radius has 464 Rauzy vertices, of which 8
+    # are special, joined by 12 chains; trimming per vertex would pass all
+    # 464 (or those alive) to the trimming routine
+    from substdyn import cis
+    from substdyn.classify import decide_tameness
+    sub = CORPUS["sigma_5"].substitution()
+    report = decide_tameness(sub)
+    collared = collar(sub, report.n_sigma)
+    context = CanonicalizeContext(collared, shared=report.table)
+    assert (report.n_sigma, len(context.vertex_tokens)) == (6, 464)
+    assert len(context.special) <= 8 and len(context.chains) <= 12
+    trimmed = []
+    trim = cis.biinfinite_path_nodes
+
+    def counting(nodes, succ, pred):
+        nodes = list(nodes)
+        trimmed.append(len(nodes))
+        return trim(nodes, succ, pred)
+
+    monkeypatch.setattr(cis, "biinfinite_path_nodes", counting)
+    enumerate_cis(collared, tameness=report, context=context)
+    monkeypatch.undo()
+    assert trimmed and max(trimmed) <= len(context.special)
 
 
 @pytest.fixture(scope="module")

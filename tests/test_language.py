@@ -7,7 +7,6 @@ from substdyn.apcomplex import inverse_limit_presentation
 from substdyn.core import Substitution, parse_substitution
 from substdyn.corpus import CORPUS, sigma_family
 from substdyn.errors import MarginError
-from substdyn.graphs import biinfinite_path_nodes
 from substdyn.language import (LanguageTable, is_admissible,
                                periodic_point_search, periodic_search_length)
 
@@ -119,7 +118,8 @@ def reference_language(sub, max_length, margin):
     """The slicing extraction the table replaced: iterate the per-letter
     factor states without memo, slice every admitted length out of the kept
     words, and slice every legal length out of the bi-infinite Rauzy
-    vertices at both margin orders."""
+    vertices at both margin orders, found by the cycle-closure reference
+    rather than by the trimming under test."""
     cap = margin + 2 if not sub.is_primitive() else max_length + 1
     kept = set()
     state = tuple(frozenset((sub.encode((a,)),)) for a in sub.alphabet)
@@ -155,7 +155,8 @@ def reference_language(sub, max_length, margin):
             for e in edges:
                 succ[e[:-1]].append(e[1:])
                 pred[e[1:]].append(e[:-1])
-            return biinfinite_path_nodes(sorted(succ), succ.__getitem__, pred.__getitem__)
+            return reference_biinfinite_path_nodes(sorted(succ), succ.__getitem__,
+                                                   pred.__getitem__)
 
         base, check = vertices(margin), vertices(margin + 1)
         for length in legal:
@@ -309,11 +310,7 @@ def test_window_cases_cover_short_images_and_empty_subshifts():
 
 @pytest.mark.parametrize("sub", [sub for _, sub in WINDOW_CASES],
                          ids=[name for name, _ in WINDOW_CASES])
-def test_leading_windows_match_full_expansion(sub, monkeypatch):
-    # the legal sets are checked against the cycle-closure construction
-    # of the bi-infinite Rauzy vertices, not against trimming
-    monkeypatch.setitem(globals(), "biinfinite_path_nodes",
-                        reference_biinfinite_path_nodes)
+def test_leading_windows_match_full_expansion(sub):
     for max_length, margin in ((1, None), (4, None), (9, None), (3, 5)):
         table = LanguageTable(sub, max_length, margin=margin)
         cap = table._cap

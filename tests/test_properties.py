@@ -8,7 +8,7 @@ import pytest
 
 from substdyn import intlin
 from substdyn.apcomplex import build_complex, h1_presentation, induced_map
-from substdyn.cis import CanonicalizeContext, brute_force_canonical_sets, enumerate_cis
+from substdyn.cis import CanonicalizeContext, enumerate_cis
 from substdyn.classify import classify_letters, decide_tameness, frontier_maps
 from substdyn.collar import collar
 from substdyn.core import Substitution
@@ -16,6 +16,7 @@ from substdyn.corpus import CORPUS
 from substdyn.errors import SubstdynError
 from substdyn.language import LanguageTable
 
+from cis_oracles import brute_force_canonical_sets
 from conftest import (brute_admitted, brute_bounded_letters, brute_iterate,
                       random_substitution, span_admitted)
 
