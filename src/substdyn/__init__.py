@@ -14,7 +14,7 @@ The main entry points are:
 """
 
 from .core import PointedWord, Substitution, Word, parse_substitution, load_substitution
-from .language import LanguageTable, is_admissible, periodic_point_search
+from .language import LanguageTable, periodic_point_search
 from .classify import (LetterClassification, MinimalityResult, SeedResult,
                        TamenessReport, WildWitness, classify_letters,
                        decide_tameness, find_seed, is_minimal,
@@ -24,7 +24,7 @@ from .primitivize import (ConjugateSubstitution, DerivedSubstitution,
                           build_theta, primitivize, return_words,
                           verify_conjugacy)
 from .collar import (CollaredLetter, CollaredSubstitution,
-                     border_forcing_level, collar, forget, forgetful_map)
+                     border_forcing_level, collar)
 from .apcomplex import (APComplex, CellularMap, DirectLimit, H1Presentation,
                         InverseLimitPresentation, build_complex,
                         complex_to_dot, direct_limit, eventual_rank,
@@ -47,8 +47,8 @@ __all__ = [
     "collar", "complex_to_dot", "corpus", "decide_tameness",
     "diagram_compare", "direct_limit", "enumerate_cis", "errors",
     "eventual_rank", "extend_substitution", "find_seed",
-    "forget", "forgetful_map", "h1_presentation", "induced_map", "intlin",
-    "inverse_limit_presentation", "is_admissible", "is_minimal",
+    "h1_presentation", "induced_map", "intlin",
+    "inverse_limit_presentation", "is_minimal",
     "lattice_to_dot", "load_substitution", "parse_substitution",
     "periodic_point_search", "primitivize", "return_words",
     "verify_conjugacy", "wild_periodic_word",

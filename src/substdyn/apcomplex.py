@@ -20,7 +20,7 @@ from .classify import decide_tameness
 from .collar import CollaredSubstitution, collar, border_forcing_level
 from .errors import EmptySubshiftError, InconsistentRuleError, WildInputError
 from .graphs import UnionFind
-from .language import LanguageTable, periodic_point_search, periodic_search_length
+from .language import periodic_point_search
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,6 @@ class InverseLimitPresentation:
 
 
 def inverse_limit_presentation(sub: Substitution, radius: int | None = None,
-                               table: LanguageTable | None = None,
                                assume_recognisable: bool = False,
                                max_letters: int | None = None) -> InverseLimitPresentation:
     """The tiling space as an inverse limit: the collared complex at the
@@ -334,7 +333,7 @@ def inverse_limit_presentation(sub: Substitution, radius: int | None = None,
     n_sigma = report.n_sigma
     if radius is None:
         radius = n_sigma
-    collared = collar(sub, radius, table=table, max_letters=max_letters)
+    collared = collar(sub, radius, max_letters=max_letters)
     complex_ = build_complex(collared)
     cell_map = induced_map(collared, complex_)
     h1 = h1_presentation(complex_, cell_map)
@@ -343,10 +342,7 @@ def inverse_limit_presentation(sub: Substitution, radius: int | None = None,
         status = "assumed"
     else:
         period_bound = min(6, 2 + sub.max_image_len)
-        search_table = report.table
-        if not search_table.is_default(sub, periodic_search_length(sub, period_bound)):
-            search_table = None
-        hits = periodic_point_search(sub, period_bound, table=search_table)
+        hits = periodic_point_search(sub, period_bound)
         status = "evidenced" if not hits else "unknown"
     return InverseLimitPresentation(collared, complex_, cell_map, h1,
                                     level, n_sigma, status)

@@ -33,7 +33,7 @@ from .collar import CollaredSubstitution
 from .core import Substitution
 from .errors import SubstdynError, SymbolError, WildInputError
 from .graphs import biinfinite_path_nodes
-from .language import LanguageTable, default_margin
+from .language import LanguageTable, default_margin, table_for
 
 Subcomplex = frozenset
 
@@ -47,9 +47,8 @@ class CanonicalizeContext:
     spurious periodic patterns whose longer factors are illegal.
 
     ``table`` is used as given when it reaches length 2n + 2.  Otherwise
-    the context builds the table of the length its order needs, unless the
-    collar's own table is long enough or ``shared`` (typically the
-    tameness table) is exactly the table it would build.
+    the context takes the collar's own table when it is long enough, and
+    else ``table_for`` the length its order needs.
 
     A vertex's tokens are those of its (2n + 1)-windows; each distinct
     coded window is decoded and formatted once, through a dict local to
@@ -77,8 +76,7 @@ class CanonicalizeContext:
     vertices, the chains and the cycles."""
 
     def __init__(self, collared: CollaredSubstitution,
-                 table: LanguageTable | None = None,
-                 shared: LanguageTable | None = None):
+                 table: LanguageTable | None = None):
         base = collared.base
         n = collared.radius
         if table is None or table.max_length < 2 * n + 2:
@@ -88,10 +86,8 @@ class CanonicalizeContext:
                          4 * (2 * n + 1))
             if collared.table.max_length >= length:
                 table = collared.table
-            elif shared is not None and shared.is_default(base, length):
-                table = shared
             else:
-                table = LanguageTable(base, length)
+                table = table_for(base, length)
         self.collared = collared
         self.table = table
         self.exact = table.legal_exact
@@ -316,7 +312,7 @@ def enumerate_cis(collared: CollaredSubstitution,
             f"{tameness.n_sigma}; distinct subspaces may collapse")
     complex_ = build_complex(collared)
     if context is None:
-        context = CanonicalizeContext(collared, shared=tameness.table)
+        context = CanonicalizeContext(collared)
     if not context.exact:
         warnings.append("legality did not stabilise at the margin order; "
                         "the lattice is exact only to that order")

@@ -19,7 +19,7 @@ from .core import PointedWord, Substitution, Word
 from .errors import (EmptySubshiftError, MarginError, SubstdynError,
                      WildInputError, WitnessError)
 from .graphs import cyclic_nodes, forward_closure
-from .language import LanguageTable, periodic_point_search, periodic_search_length
+from .language import LanguageTable, periodic_point_search, table_for
 
 if TYPE_CHECKING:
     from .cis import CISLattice
@@ -97,9 +97,6 @@ class TamenessReport:
     n_sigma: int | None = None
     empty_subshift: bool = False
     exact: bool = True
-    # the table the bounded legal words were read from, for callers that
-    # would otherwise build the same table again
-    table: LanguageTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def tame(self) -> bool:
@@ -107,7 +104,7 @@ class TamenessReport:
 
 
 def tameness_table_length(sub: Substitution) -> int:
-    """Table bound ``decide_tameness`` builds its own table with."""
+    """Table bound ``decide_tameness`` asks ``table_for`` for when given no table."""
     return max(4, 2 * sub.max_image_len * len(sub.alphabet))
 
 
@@ -125,12 +122,12 @@ def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> Ta
         if witnesses:
             letter = min(witnesses, key=sub.letter_index)
             witness = WildWitness(letter, side, cycles[letter])
-            word = wild_periodic_word(sub, witness, table=table)
+            word = wild_periodic_word(sub, witness)
             witness = WildWitness(letter, side, cycles[letter], word)
             return TamenessReport("wild", classification, witness=witness)
     # tame: collect every bounded legal word
     if table is None:
-        table = LanguageTable(sub, tameness_table_length(sub))
+        table = table_for(sub, tameness_table_length(sub))
     bounded_words: list[Word] = [()]
     length = 1
     while True:
@@ -145,17 +142,14 @@ def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> Ta
         length += 1
     return TamenessReport("tame", classification,
                           bounded_legal_words=tuple(bounded_words),
-                          n_sigma=length, exact=table.legal_exact, table=table)
+                          n_sigma=length, exact=table.legal_exact)
 
 
 def wild_periodic_word(sub: Substitution, witness: WildWitness,
-                       verify: bool = True, table: LanguageTable | None = None) -> Word:
+                       verify: bool = True) -> Word:
     """The bounded periodic word built from a wildness witness: iterate the
     bounded tail (head) of sigma^N(c) until the iterates cycle and
-    concatenate one full cycle.
-
-    The periodic check reuses ``table`` when it is the table
-    ``periodic_point_search`` would build for the word's length."""
+    concatenate one full cycle."""
     classification = classify_letters(sub)
     c = witness.letter
     if c not in classification.expanding:
@@ -200,10 +194,7 @@ def wild_periodic_word(sub: Substitution, witness: WildWitness,
         else:
             word = tuple(itertools.chain.from_iterable(reversed(cycle)))
     if verify:
-        if table is not None and not table.is_default(
-                sub, periodic_search_length(sub, len(word))):
-            table = None
-        hits = periodic_point_search(sub, len(word), table=table)
+        hits = periodic_point_search(sub, len(word))
         if not any(_is_rotation_power(hit, word) for hit in hits):
             raise WitnessError(f"constructed word {word!r} failed the periodic check")
     return word
@@ -267,8 +258,7 @@ def _seed_step(sub, classification, pointed: PointedWord) -> PointedWord:
     return PointedWord(new_word, new_origin)
 
 
-def find_seed(sub: Substitution, table: LanguageTable | None = None,
-              report: TamenessReport | None = None) -> SeedResult:
+def find_seed(sub: Substitution, report: TamenessReport | None = None) -> SeedResult:
     """A pointed word fixed by a power of the image-frontier map, a legal
     expanding seed letter b, and the least multiple N of the period with two
     occurrences of b in sigma^N(b).
@@ -278,17 +268,13 @@ def find_seed(sub: Substitution, table: LanguageTable | None = None,
     words, so only the words that have it are decoded, and the doubling
     search counts b in coded iterates."""
     if report is None:
-        report = decide_tameness(sub, table)
+        report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("cannot seed an empty subshift")
     if not report.tame:
         raise WildInputError("seed search requires a tame substitution")
     classification = report.classification
-    if table is None:
-        length = tameness_table_length(sub)
-        table = report.table
-        if table is None or not table.is_default(sub, length):
-            table = LanguageTable(sub, length)
+    table = table_for(sub, tameness_table_length(sub))
     elements = _pointed_shape_elements(sub, table, classification)
     periodic: dict[PointedWord, int] = {}
     step_cache: dict[PointedWord, PointedWord] = {}
@@ -406,7 +392,7 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
     if sub.is_primitive():
         return MinimalityResult("yes", reason="primitive")
     if table is None:
-        table = LanguageTable(sub, max(8, 2 * sub.max_image_len * len(sub.alphabet)))
+        table = table_for(sub, max(8, 2 * sub.max_image_len * len(sub.alphabet)))
     if not report.tame:
         word = report.witness.periodic_word
         ring = word * (table.max_length // len(word) + 2)

@@ -24,7 +24,7 @@ from .collar import border_forcing_level, collar, over_budget
 from .core import Substitution, load_substitution, parse_substitution
 from .errors import (EdgeBudgetError, EmptySubshiftError, NonClosureError,
                      RuleParseError, SubstdynError, WildInputError)
-from .language import LanguageTable
+from .language import session, table_for
 from .primitivize import primitivize
 
 DEFAULT_MAX_EDGES = 5000
@@ -41,6 +41,19 @@ def _max_edges(args) -> int:
     except ValueError:
         raise SubstdynError(f"SUBSTDYN_MAX_EDGES must be an integer, "
                             f"not {env!r}") from None
+
+
+def _check_options(args):
+    """Read ``--radius`` as an integer (None for 'auto') and reject numeric
+    options out of range, as usage errors, before any work."""
+    radius = getattr(args, "radius", "auto")
+    if radius != "auto" and not radius.isdecimal():
+        raise SubstdynError(f"--radius must be 'auto' or an integer >= 0, not {radius!r}")
+    args.radius = None if radius == "auto" else int(radius)
+    for name in ("max_length", "verify_depth"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise SubstdynError(f"--{name.replace('_', '-')} must be >= 1, not {value}")
 
 
 def _emit(data, stream=None):
@@ -170,9 +183,8 @@ def cmd_classify(args):
 def cmd_analyze(args):
     sub = _load(args.file)
     max_length = args.max_length or max(8, 2 * sub.max_image_len * len(sub.alphabet))
-    table = LanguageTable(sub, max_length, margin=args.margin)
-    shared = table.is_default(sub, tameness_table_length(sub))
-    report = decide_tameness(sub, table=table if shared else None)
+    table = table_for(sub, max_length, margin=args.margin)
+    report = decide_tameness(sub)
     out = {
         "input": _substitution_dict(sub),
         "language": {
@@ -191,7 +203,9 @@ def cmd_analyze(args):
     if report.empty_subshift:
         _emit(out)
         return 2
-    # the report was decided on this table only when it is shared
+    # a wild verdict reads no table, and a tame one was decided on this
+    # table only when it is the tameness table
+    shared = not report.tame or table is table_for(sub, tameness_table_length(sub))
     minimality = is_minimal(sub, table=table, report=report if shared else None)
     out["minimality"] = {
         "verdict": minimality.verdict,
@@ -199,13 +213,13 @@ def cmd_analyze(args):
         "reason": minimality.reason,
     }
     if not report.tame:
-        if args.radius != "auto":
+        if args.radius is not None:
             _emit(out)
             return 3
         out["warnings"].append("wild input: collaring stages skipped")
         try:
             out["primitivization"] = _primitivization_dict(
-                sub, primitivize(sub, table=table, report=report))
+                sub, primitivize(sub, report=report))
         except SubstdynError as exc:
             out["warnings"].append(f"primitivization: {exc}")
         _emit(out)
@@ -216,7 +230,7 @@ def cmd_analyze(args):
                 sub, primitivize(sub, report=report))
         except (NonClosureError, SubstdynError) as exc:
             out["warnings"].append(f"primitivization: {exc}")
-    radius = report.n_sigma if args.radius == "auto" else int(args.radius)
+    radius = report.n_sigma if args.radius is None else args.radius
     max_edges = _max_edges(args)
     # the minimality oracle's lattice is this one when it was collared at
     # this radius and fits this budget
@@ -300,7 +314,7 @@ def _tame_collared(args, sub):
         raise EmptySubshiftError("empty subshift")
     if not report.tame:
         raise WildInputError("wild input")
-    radius = report.n_sigma if args.radius == "auto" else int(args.radius)
+    radius = report.n_sigma if args.radius is None else args.radius
     return report, collar(sub, radius, max_letters=_max_edges(args))
 
 
@@ -343,9 +357,8 @@ def cmd_complex(args):
 def cmd_cohomology(args):
     sub = _load(args.file)
     try:
-        pres = inverse_limit_presentation(
-            sub, radius=None if args.radius == "auto" else int(args.radius),
-            max_letters=_max_edges(args))
+        pres = inverse_limit_presentation(sub, radius=args.radius,
+                                          max_letters=_max_edges(args))
     except EmptySubshiftError:
         print("error: empty subshift", file=sys.stderr)
         return 2
@@ -424,7 +437,7 @@ def cmd_compare(args):
         if not report.tame:
             print(f"error: {path}: wild input", file=sys.stderr)
             return 3
-        radius = report.n_sigma if args.radius == "auto" else int(args.radius)
+        radius = report.n_sigma if args.radius is None else args.radius
         lattices.append(enumerate_cis(collar(sub, radius,
                                              max_letters=_max_edges(args)),
                                       tameness=report))
@@ -449,11 +462,13 @@ def cmd_corpus(args):
     failures = 0
     for name in names:
         print(f"== {name} ==", file=sys.stderr)
-        ns = argparse.Namespace(file=f"corpus:{name}", radius="auto",
+        ns = argparse.Namespace(file=f"corpus:{name}", radius=None,
                                 max_length=None, margin=None,
                                 max_edges=args.max_edges)
         try:
-            code = cmd_analyze(ns)
+            # one session per entry, so no entry's tables outlive its analysis
+            with session():
+                code = cmd_analyze(ns)
         except SubstdynError as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
             code = 1
@@ -537,7 +552,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _check_options(args)
+        with session():
+            return args.func(args)
     except RuleParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

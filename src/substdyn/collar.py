@@ -1,4 +1,4 @@
-"""Collared alphabets and substitutions, forgetful maps, border forcing.
+"""Collared alphabets and substitutions, and border forcing.
 
 An n-collared letter is a letter together with its radius-n context word.
 The collared alphabet holds the collared versions of all legal
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import Substitution, Word
 from .errors import EdgeBudgetError, BorderForcingError, PaddingError
-from .language import LanguageTable
+from .language import LanguageTable, table_for
 from .classify import classify_letters
 
 
@@ -67,10 +67,6 @@ class CollaredSubstitution:
         return Substitution(rules, alphabet=tuple(letters))
 
 
-def _context_token(sub: Substitution, center: str, context: Word) -> str:
-    return CollaredLetter(center, context).token(sub)
-
-
 def _image_letters(sub: Substitution, letter: CollaredLetter, radius: int):
     """Collared letters of the induced image: the image of the center read
     inside the image of the context at the center offset."""
@@ -94,7 +90,6 @@ def over_budget(n_letters: int, max_letters: int) -> bool:
 
 
 def collar(base: Substitution, radius: int, padding: str | None = None,
-           table: LanguageTable | None = None,
            max_letters: int | None = None) -> CollaredSubstitution:
     """Build the radius-n collared substitution over the padding letter."""
     if radius < 0:
@@ -103,8 +98,7 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
         padding = base.alphabet[0]
     if padding not in base.alphabet:
         raise PaddingError(f"padding letter {padding!r} not in alphabet")
-    if table is None or table.max_length < 2 * radius + 2:
-        table = LanguageTable(base, 2 * radius + 2)
+    table = table_for(base, 2 * radius + 2)
     if max_letters is None:
         max_letters = len(base.alphabet) ** (2 * radius + 2) + len(base.alphabet)
 
@@ -157,45 +151,6 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
         legal=frozenset(cl.token(base) for cl in legal_letters),
         from_padding=frozenset(cl.token(base) for cl in padded),
         table=table)
-
-
-def forget(collared: CollaredSubstitution, target_radius: int) -> CollaredSubstitution:
-    """Truncate contexts symmetrically down to the target radius; the result
-    agrees letterwise with collaring directly at that radius."""
-    n, m = collared.radius, target_radius
-    if not 0 <= m <= n:
-        raise ValueError("target radius must satisfy 0 <= m <= n")
-    if m == n:
-        return collared
-    fresh = collar(collared.base, m, padding=collared.padding)
-    trim = n - m
-
-    def drop(cl: CollaredLetter) -> str:
-        return CollaredLetter(cl.center, cl.context[trim:len(cl.context) - trim]
-                              ).token(collared.base)
-
-    # consistency of the projection: truncated rules must agree with the
-    # directly built radius-m rules
-    for tok, cl in collared.letters.items():
-        target = drop(cl)
-        if target not in fresh.letters:
-            raise PaddingError(f"forgetful image {target} missing at radius {m}")
-        image = tuple(drop(collared.letters[t]) for t in collared.sub.rules[tok])
-        if image != fresh.sub.rules[target]:
-            raise PaddingError(f"forgetful map does not intertwine at {tok}")
-    return fresh
-
-
-def forgetful_map(collared: CollaredSubstitution, target_radius: int) -> dict[str, str]:
-    """Token-level forgetful map from radius n to radius m <= n."""
-    n, m = collared.radius, target_radius
-    trim = n - m
-    out = {}
-    for tok, cl in collared.letters.items():
-        out[tok] = CollaredLetter(cl.center,
-                                  cl.context[trim:len(cl.context) - trim]
-                                  ).token(collared.base)
-    return out
 
 
 def border_forcing_level(collared: CollaredSubstitution,

@@ -25,7 +25,7 @@ from .errors import (BlockPrefixError, BlockShortfallError, ConjugacyError,
                      DerivedLengthError, EmptySubshiftError, NonClosureError,
                      PrimitivityError, WildInputError)
 from .classify import SeedResult, TamenessReport, decide_tameness, find_seed
-from .language import LanguageTable, periodic_search_length
+from .language import periodic_search_length, table_for
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ def _collect_return_words(coded: str, b_code: str, found: dict[str, None]):
 
 
 def return_words(sub: Substitution, seed: SeedResult | None = None,
-                 table: LanguageTable | None = None,
                  max_rounds: int | None = None) -> ReturnWordSystem:
     """Enumerate the return words to the seed letter by scanning iterates of
     sigma^N(b), then close the block decompositions over them.
@@ -93,7 +92,7 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
     occurrences of b one slice of about ``_SCAN_CHUNK`` letters at a time;
     only the words of the returned system are decoded."""
     if seed is None:
-        seed = find_seed(sub, table=table)
+        seed = find_seed(sub)
     b = seed.seed_letter
     n = seed.n_for_doubling
     if max_rounds is None:
@@ -351,7 +350,7 @@ def _parse_return_positions(word: Word, seed_letter: str, by_word: dict[Word, st
 
 
 def verify_conjugacy(sub: Substitution, cs: ConjugateSubstitution,
-                     depth: int = 6, table: LanguageTable | None = None) -> ConjugacyReport:
+                     depth: int = 6) -> ConjugacyReport:
     """Sampled checks that h carries the refined subshift onto the original
     one: h-images of legal windows are legal, the sliding-block parse
     inverts h on window interiors, and the parse intertwines sigma^(N*lift)
@@ -360,12 +359,10 @@ def verify_conjugacy(sub: Substitution, cs: ConjugateSubstitution,
     rws = ds.system
     n_total = rws.power * cs.power_lift
     theta = cs.theta
-    theta_table = LanguageTable(theta, depth)
+    theta_table = table_for(theta, depth)
     if theta_table.empty_subshift:
         raise EmptySubshiftError("refined substitution has an empty subshift")
-    if table is None:
-        window = depth * cs.p_block_size + len(rws.head) + 2
-        table = LanguageTable(sub, window)
+    table = table_for(sub, depth * cs.p_block_size + len(rws.head) + 2)
     by_word = {v: _gamma_token(sub, v) for v in rws.return_words}
     power_sub = sub.power(n_total)
     checks = {"h_legal": 0, "parse_inverts": 0, "intertwine": 0}
@@ -446,30 +443,27 @@ def _check_intertwine(power_sub, cs, codes, by_word):
 
 
 def primitivize(sub: Substitution, depth: int = 6,
-                table: LanguageTable | None = None,
                 report: TamenessReport | None = None):
     """Full pipeline: tameness gate, seed, return words, psi, theta and the
     sampled conjugacy verification.  Periodic minimal inputs short-circuit
     to a constant-length primitive substitution on the periodic word.
 
     ``report``, when given, must be ``decide_tameness(sub)`` (as for
-    ``find_seed``); it saves deciding tameness again, and its table is
-    reused by the seed search.  On a wild input, ``table`` is reused by the
-    periodic check when it is the table that check would build."""
+    ``find_seed``); it saves deciding tameness again."""
     if report is None:
         report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("cannot primitivize an empty subshift")
     if not report.tame:
-        periodic = _periodic_bypass(sub, report, table)
+        periodic = _periodic_bypass(sub, report)
         if periodic is not None:
             return periodic
         raise WildInputError("substitution is wild and not a single periodic orbit")
-    seed = find_seed(sub, table=table, report=report)
-    rws = return_words(sub, seed=seed, table=table)
+    seed = find_seed(sub, report=report)
+    rws = return_words(sub, seed=seed)
     ds = build_psi(sub, rws)
     cs = build_theta(ds)
-    verification = verify_conjugacy(sub, cs, depth=depth, table=table)
+    verification = verify_conjugacy(sub, cs, depth=depth)
     if not verification.ok:
         raise ConjugacyError("conjugacy verification failed",
                              window=verification.counterexample)
@@ -492,15 +486,12 @@ class PrimitivizationResult:
         return self.conjugate.theta if self.conjugate else self.bypass
 
 
-def _periodic_bypass(sub: Substitution, report: TamenessReport,
-                     table: LanguageTable | None = None):
+def _periodic_bypass(sub: Substitution, report: TamenessReport):
     """A wild but minimal subshift is one periodic orbit; it equals the
     subshift of the constant-length primitive substitution sending every
     legal letter of the cycle to the periodic word."""
     word = report.witness.periodic_word
-    length = periodic_search_length(sub, len(word))
-    if table is None or not table.is_default(sub, length):
-        table = LanguageTable(sub, length)
+    table = table_for(sub, periodic_search_length(sub, len(word)))
     ring = word * (table.max_length // len(word) + 2)
     factors = {ring[i:i + table.max_length] for i in range(len(word))}
     if not set(table.legal(table.max_length)) <= factors:

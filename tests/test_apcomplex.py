@@ -143,7 +143,7 @@ def test_recognisability_flag():
 def test_forgetful_naturality(chacon):
     # the radius-2 complex maps edgewise onto the radius-1 complex,
     # commuting with the cellular maps
-    from substdyn.collar import forgetful_map
+    from collar_oracles import forgetful_map
     deep = collar(chacon, 2)
     shallow = collar(chacon, 1)
     mapping = forgetful_map(deep, 1)

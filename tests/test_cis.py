@@ -294,7 +294,7 @@ def test_context_tokens_match_reference():
     checked = 0
     for name, sub, report in _tame_corpus():
         for radius in (report.n_sigma, report.n_sigma + 1):
-            context = CanonicalizeContext(collar(sub, radius), shared=report.table)
+            context = CanonicalizeContext(collar(sub, radius))
             for v, tokens in context.vertex_tokens.items():
                 assert tokens == reference_tokens_of(context, v), (name, radius, v)
             for e in context.edges:
@@ -305,18 +305,22 @@ def test_context_tokens_match_reference():
 
 
 def test_context_reuses_only_the_table_it_would_build(fib_handle):
+    from substdyn import language
     from substdyn.classify import decide_tameness
     report = decide_tameness(fib_handle)
     collared = collar(fib_handle, report.n_sigma)
     own = CanonicalizeContext(collared)
-    key = (own.table.sub, own.table.max_length, own.table.margin)
-    same = LanguageTable(*key)
-    assert CanonicalizeContext(collared, shared=same).table is same
-    wider = LanguageTable(fib_handle, own.table.max_length, margin=own.table.margin + 5)
-    reused = CanonicalizeContext(collared, shared=wider)
-    assert reused.table is not wider
-    assert (reused.table.max_length, reused.table.margin) == key[1:]
-    assert reused.vertex_tokens == own.vertex_tokens and reused.edges == own.edges
+    length = own.table.max_length
+    # outside a session every context builds its own table
+    assert CanonicalizeContext(collared).table is not own.table
+    with language.session():
+        wider = language.table_for(fib_handle, length, margin=own.table.margin + 5)
+        shared = CanonicalizeContext(collared)
+        assert shared.table is language.table_for(fib_handle, length)
+        assert shared.table is not wider
+        assert CanonicalizeContext(collared).table is shared.table
+    assert (shared.table.max_length, shared.table.margin) == (length, own.table.margin)
+    assert shared.vertex_tokens == own.vertex_tokens and shared.edges == own.edges
 
 
 def _analyze_contexts(monkeypatch):
@@ -403,7 +407,7 @@ def test_canonicalize_trims_only_special_vertices(monkeypatch):
     sub = CORPUS["sigma_5"].substitution()
     report = decide_tameness(sub)
     collared = collar(sub, report.n_sigma)
-    context = CanonicalizeContext(collared, shared=report.table)
+    context = CanonicalizeContext(collared)
     assert (report.n_sigma, len(context.vertex_tokens)) == (6, 464)
     assert len(context.special) <= 8 and len(context.chains) <= 12
     trimmed = []

@@ -248,8 +248,11 @@ def test_max_edges_below_the_lattice_alphabet_exits_4(capsys):
     assert json.loads(out)["cis"] is not None
 
 
-def test_analyze_builds_each_table_once(capsys, monkeypatch):
+def test_analyze_builds_each_table_once(capsys, monkeypatch, tmp_path):
+    # within one command each (sub, max_length, margin) key is built at most
+    # once, under every flag that changes which tables the stages ask for
     from collections import Counter
+    from substdyn import corpus
     from substdyn.language import LanguageTable
     built = Counter()
     original = LanguageTable.__init__
@@ -259,9 +262,75 @@ def test_analyze_builds_each_table_once(capsys, monkeypatch):
         built[(self.sub, self.max_length, self.margin)] += 1
 
     monkeypatch.setattr(LanguageTable, "__init__", counting)
-    code, _, _ = run_cli(capsys, "analyze", "corpus:sigma_4")
-    assert code == 0
-    assert built and max(built.values()) == 1
+    commands = [["analyze", f"corpus:{name}", *flags]
+                for flags in ([], ["--max-length", "6"], ["--margin", "30"],
+                              ["--radius", "2"])
+                for name in corpus.names()]
+    commands.append(["primitivize", "corpus:wild_ab", "--out-dir", str(tmp_path)])
+    repeated = []
+    for argv in commands:
+        built.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code in (0, 2, 3) and built, argv
+        repeated += [(" ".join(argv), key[1:], count)
+                     for key, count in built.items() if count > 1]
+    assert repeated == []
+
+
+@pytest.mark.parametrize("argv", [["analyze", "corpus:sigma_4"],
+                                  ["corpus", "run", "sigma_4", "fibonacci"]],
+                         ids=" ".join)
+def test_tables_die_with_the_command(capsys, monkeypatch, argv):
+    # a session's store is dropped when its command (or corpus entry) ends,
+    # and no table lies on a reference cycle (as it would with a store held
+    # by the rule), so reference counting alone frees every table
+    import gc
+    import weakref
+    from substdyn import corpus
+    from substdyn.language import LanguageTable
+    entries = {corpus.get(name) for name in ("sigma_4", "fibonacci")}
+    refs = []
+    entries_alive = []
+    original = LanguageTable.__init__
+
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+        tables = (ref() for ref in refs)
+        entries_alive.append(len({table.sub for table in tables if table is not None}
+                                 & entries))
+
+    monkeypatch.setattr(LanguageTable, "__init__", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+        alive = [ref() for ref in refs if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert code == 0 and refs
+    assert alive == []
+    assert max(entries_alive) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cis", "corpus:fibonacci", "--radius", "x"],
+    ["complex", "corpus:fibonacci", "--radius", "1.5"],
+    ["cohomology", "corpus:fibonacci", "--radius", "-1"],
+    ["compare", "corpus:fibonacci", "corpus:chacon", "--radius", "two"],
+    ["analyze", "corpus:fibonacci", "--radius", "-2"],
+    ["analyze", "corpus:wild_ab", "--radius", "x"],
+    ["analyze", "corpus:fibonacci", "--max-length", "-3"],
+    ["analyze", "corpus:fibonacci", "--max-length", "0"],
+    ["primitivize", "corpus:fibonacci", "--verify-depth", "0"],
+], ids=" ".join)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    # exit 1 with a one-line message, not a traceback and not argparse's 2,
+    # which the CLI uses for an empty subshift
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --") and err.count("\n") == 1
 
 
 def test_primitivize_decides_tameness_once(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import pytest
 
-from substdyn.collar import (CollaredLetter, border_forcing_level, collar,
-                             forget, forgetful_map)
+from substdyn.collar import CollaredLetter, border_forcing_level, collar
 from substdyn.core import parse_substitution
 from substdyn.errors import BorderForcingError, PaddingError
 from substdyn.language import LanguageTable
+
+from collar_oracles import forget, forgetful_map
 
 
 def test_fib_handle_legal_letters(fib_handle):

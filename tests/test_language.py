@@ -7,8 +7,9 @@ from substdyn.apcomplex import inverse_limit_presentation
 from substdyn.core import Substitution, parse_substitution
 from substdyn.corpus import CORPUS, sigma_family
 from substdyn.errors import MarginError
-from substdyn.language import (LanguageTable, is_admissible,
-                               periodic_point_search, periodic_search_length)
+from substdyn import language
+from substdyn.language import (LanguageTable, periodic_point_search,
+                               periodic_search_length, table_for)
 
 from conftest import brute_admitted, random_substitution, reference_biinfinite_path_nodes
 
@@ -93,6 +94,19 @@ def test_periodic_point_search(fib, wild_ab):
     assert periodic_point_search(fib, 8) == []
     mixed = parse_substitution("a -> ab\nb -> a\nc -> cc\nd -> ca\n")
     assert [mixed.format_word(w) for w in periodic_point_search(mixed, 1)] == ["c"]
+
+
+def is_admissible(sub: Substitution, table: LanguageTable | None = None) -> bool:
+    """True iff every computed legal set equals the admitted set (checked to
+    the table bound); in particular every letter must be legal."""
+    if table is None:
+        table = LanguageTable(sub, max(4, 2 * sub.max_image_len))
+    if table.empty_subshift:
+        return False
+    for length in range(1, table.max_length + 1):
+        if set(table.legal(length)) != set(table.admitted(length)):
+            return False
+    return True
 
 
 def test_admissibility(fib, wild_ab):
@@ -203,7 +217,8 @@ def test_large_margin_walks_down_iteratively(wild_ab):
 
 def test_cohomology_reuses_the_tameness_table(monkeypatch):
     # the tameness table has the key the recognisability search asks for
-    # (2 * 2 * 5 = 4 * 4 + 4), so only it and the collaring table are built
+    # (2 * 2 * 5 = 4 * 4 + 4), so inside a session only it and the
+    # collaring table are built
     sub = parse_substitution("a -> ab\nb -> c\nc -> d\nd -> e\ne -> a\n")
     built = []
     init = LanguageTable.__init__
@@ -213,9 +228,52 @@ def test_cohomology_reuses_the_tameness_table(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(LanguageTable, "__init__", counting_init)
-    presentation = inverse_limit_presentation(sub)
+    with language.session():
+        presentation = inverse_limit_presentation(sub)
     assert presentation.recognisable == "evidenced"
     assert len(built) == 2
+
+
+def test_table_for_shares_tables_only_inside_a_session(fib):
+    assert table_for(fib, 6) is not table_for(fib, 6)
+    with language.session():
+        table = table_for(fib, 6)
+        assert table_for(fib, 6, margin=table.margin) is table
+        assert table_for(fib, 6, margin=table.margin + 1) is not table
+        with language.session():
+            assert table_for(fib, 6) is not table
+        assert table_for(fib, 6) is table
+    assert table_for(fib, 6) is not table
+
+
+def test_only_table_for_builds_tables():
+    # every stage asks language.table_for, which alone decides reuse; a
+    # LanguageTable(...) call elsewhere would bypass the session
+    import ast
+    import pathlib
+    import substdyn
+    offenders = []
+    for path in sorted(pathlib.Path(substdyn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "language.py":
+            table_for_def = next(node for node in tree.body
+                                 if isinstance(node, ast.FunctionDef)
+                                 and node.name == "table_for")
+            allowed = {id(node) for node in ast.walk(table_for_def)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name == "LanguageTable":
+                    offenders.append(f"{where} builds a LanguageTable")
+            if isinstance(node, ast.Attribute) and node.attr == "is_default":
+                offenders.append(f"{where} reads is_default")
+            if isinstance(node, ast.FunctionDef) and node.name == "is_default":
+                offenders.append(f"{where} defines is_default")
+    assert offenders == []
 
 
 def reference_periodic_search(sub, period_bound, table):
