@@ -46,9 +46,9 @@ class CanonicalizeContext:
     bi-infinite paths.  Order 2 alone is too coarse: it would admit
     spurious periodic patterns whose longer factors are illegal.
 
-    ``table`` is used as given when it reaches length 2n + 2.  Otherwise
-    the context takes the collar's own table when it is long enough, and
-    else ``table_for`` the length its order needs.
+    ``table`` is used as given when it reaches length 2n + 2, and
+    otherwise the context asks ``table_for`` for the length its order
+    needs.
 
     A vertex's tokens are those of its (2n + 1)-windows; each distinct
     coded window is decoded and formatted once, through a dict local to
@@ -82,12 +82,8 @@ class CanonicalizeContext:
         if table is None or table.max_length < 2 * n + 2:
             # windows must outgrow the recurrence scale of the collared
             # letters themselves, so the order grows with the radius
-            length = max(2 * n + 2, default_margin(base, 2 * n + 2),
-                         4 * (2 * n + 1))
-            if collared.table.max_length >= length:
-                table = collared.table
-            else:
-                table = table_for(base, length)
+            table = table_for(base, max(2 * n + 2, default_margin(base, 2 * n + 2),
+                                        4 * (2 * n + 1)))
         self.collared = collared
         self.table = table
         self.exact = table.legal_exact

@@ -5,9 +5,9 @@ iterating, per letter, the set of maximal bounded-length factors of
 sigma^k(a): the per-letter tuples of factor sets evolve under a
 deterministic map on a finite state space, so they are eventually periodic
 and the union over the pre-period and cycle is exact.  A word recurs in
-many states, so each distinct word is expanded once per table; a group
-recurs too (at other letters, or at a later step once the groups of a
-primitive rule converge), so each distinct group is stepped once per table.
+many states, so each distinct word is expanded once per core (see below);
+a group recurs too (at other letters, or at a later step once the groups
+of a primitive rule converge), so each distinct group is stepped once.
 
 A step expands only leading windows.  Let u = sigma^k(a) with |u| >= cap,
 and take a cap-window of sigma(u) that starts inside sigma(u[i]).  If
@@ -52,10 +52,14 @@ and least among their rotations, not all |A|^p words.
 Every stage gets its table from ``table_for``, keyed by (substitution,
 max_length, resolved margin).  Inside ``session()``, which ``cli.main``
 opens around each command, each key is built once; outside one, every call
-builds afresh.  The store is a context variable dropped when the session
-closes, not an attribute of the substitution: a table refers to its rule,
-so a store on the rule forms a reference cycle that only the cyclic
-collector frees, and that doubled a corpus pass's peak RSS (39 to 82-87 MB).
+builds afresh.  A table only truncates its core to max_length: the
+admitted words up to the cap (margin + 2, or max_length + 1 for a
+primitive rule) and the bi-infinite vertices at both margin orders do not
+depend on it, so a core is built once per (substitution, cap) likewise.
+The store is a context variable dropped when the session closes, not an
+attribute of the substitution: a table refers to its rule, so a store on
+the rule forms a reference cycle that only the cyclic collector frees, and
+that doubled a corpus pass's peak RSS (39 to 82-87 MB).
 """
 
 from __future__ import annotations
@@ -83,29 +87,22 @@ def resolve_margin(sub: Substitution, max_length: int, margin: int | None = None
     return max(margin, max_length)
 
 
-class LanguageTable:
-    """Admitted/legal word sets of a substitution up to a length bound."""
+class _LanguageCore:
+    """What the tables of a rule at one cap share: the admitted words, and
+    for a non-primitive rule the bi-infinite Rauzy vertices at cap - 2 and
+    cap - 1."""
 
-    def __init__(self, sub: Substitution, max_length: int, margin: int | None = None):
-        if max_length < 1:
-            raise ValueError("max_length must be >= 1")
+    def __init__(self, sub: Substitution, cap: int):
         self.sub = sub
-        self.max_length = max_length
-        self.margin = resolve_margin(sub, max_length, margin)
-        self._primitive = sub.is_primitive()
-        # admitted words up to cap are needed to build the Rauzy graphs at
-        # orders margin and margin + 1
-        self._cap = self.margin + 2 if not self._primitive else max_length + 1
+        self._cap = cap
         self._short: dict[int, list[str]] = {}
         self._admitted_cache: dict[int, frozenset[str]] = {}
         self.stabilized_at = self._compute_admitted()
-        self.empty_subshift = not self._admitted_cache[self._cap]
-        self._legal_cache: dict[int, frozenset[str]] = {}
-        self.legal_exact = True
-        if not self.empty_subshift:
-            self._compute_legal()
-
-    # -- admitted ---------------------------------------------------------
+        self.empty_subshift = not self._admitted_cache[cap]
+        self.vertices = None
+        if not self.empty_subshift and not sub.is_primitive():
+            self.vertices = (self._biinfinite_words(cap - 2),
+                             self._biinfinite_words(cap - 1))
 
     def _compute_admitted(self) -> int:
         sub = self.sub
@@ -182,7 +179,7 @@ class LanguageTable:
         self._admitted_cache[cap] = frozenset(w for w in pool if len(w) == cap)
         return k
 
-    def _admitted_exact_length(self, length: int) -> frozenset[str]:
+    def _admitted_exact_length(self, length: int, keep: int = 0) -> frozenset[str]:
         if length == 0:
             return frozenset(("",))
         if length > self._cap:
@@ -191,7 +188,7 @@ class LanguageTable:
         if cached is not None:
             return cached
         # walk down from the nearest computed length above; lengths past
-        # max_length are kept only when asked for, as they can be long
+        # ``keep`` are stored only when asked for, as they can be long
         above = min(known for known in self._admitted_cache if known > length)
         words = self._admitted_cache[above]
         for current in range(above - 1, length - 1, -1):
@@ -199,9 +196,47 @@ class LanguageTable:
             level.update(w[1:] for w in words)
             level.update(self._short.get(current, ()))
             words = frozenset(level)
-            if current <= self.max_length or current == length:
+            if current <= keep or current == length:
                 self._admitted_cache[current] = words
         return words
+
+    def _biinfinite_words(self, order: int) -> set[str]:
+        vertices = self._admitted_exact_length(order)
+        longer = self._admitted_exact_length(order + 1)
+        succ_map: dict[str, list[str]] = {v: [] for v in vertices}
+        pred_map: dict[str, list[str]] = {v: [] for v in vertices}
+        for word in longer:
+            head, tail = word[:-1], word[1:]
+            succ_map[head].append(tail)
+            pred_map[tail].append(head)
+        return biinfinite_path_nodes(vertices, succ_map.__getitem__, pred_map.__getitem__)
+
+
+class LanguageTable:
+    """Admitted/legal word sets of a substitution up to a length bound."""
+
+    def __init__(self, sub: Substitution, max_length: int, margin: int | None = None):
+        if max_length < 1:
+            raise ValueError("max_length must be >= 1")
+        self.sub = sub
+        self.max_length = max_length
+        self.margin = resolve_margin(sub, max_length, margin)
+        self._primitive = sub.is_primitive()
+        # admitted words up to cap are needed to build the Rauzy graphs at
+        # orders margin and margin + 1
+        self._cap = self.margin + 2 if not self._primitive else max_length + 1
+        self._core = _once(_LanguageCore, sub, self._cap)
+        self.stabilized_at = self._core.stabilized_at
+        self.empty_subshift = self._core.empty_subshift
+        self._legal_cache: dict[int, frozenset[str]] = {}
+        self.legal_exact = True
+        if not self.empty_subshift:
+            self._compute_legal()
+
+    # -- admitted ---------------------------------------------------------
+
+    def _admitted_exact_length(self, length: int) -> frozenset[str]:
+        return self._core._admitted_exact_length(length, keep=self.max_length)
 
     def admitted(self, length: int) -> list[Word]:
         """Sorted admitted words of the given length (<= internal cap)."""
@@ -220,17 +255,6 @@ class LanguageTable:
 
     # -- legal ------------------------------------------------------------
 
-    def _biinfinite_words(self, order: int) -> set[str]:
-        vertices = self._admitted_exact_length(order)
-        longer = self._admitted_exact_length(order + 1)
-        succ_map: dict[str, list[str]] = {v: [] for v in vertices}
-        pred_map: dict[str, list[str]] = {v: [] for v in vertices}
-        for word in longer:
-            head, tail = word[:-1], word[1:]
-            succ_map[head].append(tail)
-            pred_map[tail].append(head)
-        return biinfinite_path_nodes(vertices, succ_map.__getitem__, pred_map.__getitem__)
-
     def _compute_legal(self):
         top = self.max_length
         if self._primitive:
@@ -238,10 +262,10 @@ class LanguageTable:
             for length in range(1, top + 1):
                 self._legal_cache[length] = self._admitted_exact_length(length)
             return
-        at_margin = {v[:top] for v in self._biinfinite_words(self.margin)}
+        at_margin, above = self._core.vertices
         # legality-at-order shrinks as the order grows; keep the tighter set
-        words = frozenset(v[:top] for v in self._biinfinite_words(self.margin + 1))
-        self.legal_exact = at_margin == words
+        words = frozenset(v[:top] for v in above)
+        self.legal_exact = {v[:top] for v in at_margin} == words
         for length in range(top, 0, -1):
             self._legal_cache[length] = words
             words = frozenset(w[:-1] for w in words)
@@ -309,31 +333,37 @@ class LanguageTable:
         }
 
 
-# the open session's tables by key; None outside a session
-_session_tables = contextvars.ContextVar("substdyn_session_tables", default=None)
+# the open session's tables and cores, keyed by class and arguments; None
+# outside a session
+_session_store = contextvars.ContextVar("substdyn_session_store", default=None)
+
+
+def _once(build, *key):
+    """``build(*key)``, called once per key inside ``session()`` and on
+    every call outside one."""
+    store = _session_store.get()
+    if store is None:
+        return build(*key)
+    if (build, *key) not in store:
+        store[build, *key] = build(*key)
+    return store[build, *key]
 
 
 def table_for(sub: Substitution, max_length: int, margin: int | None = None) -> LanguageTable:
     """``LanguageTable(sub, max_length, margin)``, built once per key inside
     ``session()`` and afresh outside one."""
-    tables = _session_tables.get()
-    if tables is None:
-        return LanguageTable(sub, max_length, margin)
-    key = (sub, max_length, resolve_margin(sub, max_length, margin))
-    if key not in tables:
-        tables[key] = LanguageTable(sub, max_length, margin)
-    return tables[key]
+    return _once(LanguageTable, sub, max_length, resolve_margin(sub, max_length, margin))
 
 
 @contextlib.contextmanager
 def session():
-    """A scope in which ``table_for`` shares its tables; they are released
-    when it closes."""
-    token = _session_tables.set({})
+    """A scope in which ``table_for`` shares its tables, and tables their
+    cores; both are released when it closes."""
+    token = _session_store.set({})
     try:
         yield
     finally:
-        _session_tables.reset(token)
+        _session_store.reset(token)
 
 
 def periodic_search_length(sub: Substitution, period_bound: int) -> int:

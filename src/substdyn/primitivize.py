@@ -8,10 +8,9 @@ a substitution theta whose subshift is topologically conjugate to the
 original one, the conjugacy being the one-block code h((v, k)) = v[k].
 
 The return-word search stays on coded words (one character per letter, see
-``core``): sigma^N is one ``str.translate`` per iterate, and each iterate is
-split at the occurrences of b one slice of about ``_SCAN_CHUNK`` letters at
-a time, so that the pieces alive at once stay few.  Only the words that the
-returned ``ReturnWordSystem`` holds are decoded.
+``core``), and each round maps by one ``str.translate`` a short stand-in
+for the iterate of sigma^N(b), not the iterate (see ``return_words``).
+Only the words that the returned ``ReturnWordSystem`` holds are decoded.
 """
 
 from __future__ import annotations
@@ -59,28 +58,8 @@ def _occurrences(word: Word, letter: str) -> list[int]:
     return [i for i, x in enumerate(word) if x == letter]
 
 
-# Letters per slice of an iterate that the return-word scan splits at once;
-# the pieces of one slice are alive together, so this bounds the scan's
-# memory, not its result.
-_SCAN_CHUNK = 1 << 16
-
 # Letters an iterate may have before the return-word scan gives up.
 _SCAN_BUDGET = 2_000_000
-
-
-def _collect_return_words(coded: str, b_code: str, found: dict[str, None]):
-    """Add to ``found``, in order of first appearance, the b-free tail u of
-    every return word b u of the coded word (b u followed by b)."""
-    start = coded.find(b_code)
-    while start != -1:
-        # end the slice at the last b within reach, else at the next b
-        end = coded.rfind(b_code, start + 1, start + _SCAN_CHUNK)
-        if end == -1:
-            end = coded.find(b_code, start + 1)
-            if end == -1:
-                return
-        found.update(dict.fromkeys(coded[start + 1:end].split(b_code)))
-        start = end
 
 
 def return_words(sub: Substitution, seed: SeedResult | None = None,
@@ -88,9 +67,15 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
     """Enumerate the return words to the seed letter by scanning iterates of
     sigma^N(b), then close the block decompositions over them.
 
-    The iterates stay coded (one character per letter) and are split at the
-    occurrences of b one slice of about ``_SCAN_CHUNK`` letters at a time;
-    only the words of the returned system are decoded."""
+    An iterate h (b u_1) ... (b u_k) (b t), with h, t and each u_i free of
+    b, maps to sigma^N(h) sigma^N(b u_1) ... sigma^N(b t), and every
+    sigma^N(b u_i) begins with sigma^N(b), which holds b.  So the image's
+    head comes from h alone, its tail from t alone, and the return words
+    of each piece (with the one closed by the next piece's first b) from
+    its u_i alone.  The stand-in h (b u) ... (b t) over the distinct u in
+    order of first appearance has an image with the same head, tail and
+    return words in the same order, and only it is built; the iterate's
+    letter counts give its length for the scan budget."""
     if seed is None:
         seed = find_seed(sub)
     b = seed.seed_letter
@@ -104,7 +89,8 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
     b_code = sub.encode((b,))
 
     found: dict[str, None] = {}   # b-free tails, insertion-ordered
-    coded = b_code
+    word = b_code                 # the stand-in for the current iterate
+    counts = {c: int(c == b_code) for c in images}   # the iterate's letters
     rounds = 0
     stable_rounds = 0
 
@@ -117,8 +103,8 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
             raise NonClosureError(
                 f"return words to {b!r} did not stabilise within {max_rounds} rounds; "
                 "evidence against minimality", partial=partial())
-        # the next iterate's length, from the letter counts, before it is built
-        if sum(coded.count(c) * len(image) for c, image in images.items()) > _SCAN_BUDGET:
+        # the next iterate's length, from the letter counts
+        if sum(counts[c] * len(image) for c, image in images.items()) > _SCAN_BUDGET:
             # the words found so far may already close, unconfirmed by a
             # second stable round
             if found:
@@ -129,9 +115,15 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
             raise NonClosureError(
                 f"iterates of {b!r} grew past the scan budget before the "
                 "return words stabilised", partial=partial())
-        coded = apply_power(coded)
+        counts = {d: sum(counts[c] * image.count(d) for c, image in images.items())
+                  for d in images}
+        pieces = apply_power(word).split(b_code)
+        tails = dict.fromkeys(pieces[1:-1])
+        if len(pieces) > 1:
+            pieces = [pieces[0], *tails, pieces[-1]]
+        word = b_code.join(pieces)
         before = len(found)
-        _collect_return_words(coded, b_code, found)
+        found.update(tails)
         if len(found) == before:
             stable_rounds += 1
         else:

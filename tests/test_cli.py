@@ -281,37 +281,41 @@ def test_analyze_builds_each_table_once(capsys, monkeypatch, tmp_path):
                                   ["corpus", "run", "sigma_4", "fibonacci"]],
                          ids=" ".join)
 def test_tables_die_with_the_command(capsys, monkeypatch, argv):
-    # a session's store is dropped when its command (or corpus entry) ends,
-    # and no table lies on a reference cycle (as it would with a store held
-    # by the rule), so reference counting alone frees every table
+    # a session's store is dropped when its command (or corpus entry)
+    # ends, and no table or core lies on a reference cycle (as it would with
+    # a store held by the rule), so reference counting alone frees them all
     import gc
     import weakref
     from substdyn import corpus
-    from substdyn.language import LanguageTable
+    from substdyn.language import LanguageTable, _LanguageCore
     entries = {corpus.get(name) for name in ("sigma_4", "fibonacci")}
-    refs = []
-    entries_alive = []
-    original = LanguageTable.__init__
+    refs = {LanguageTable: [], _LanguageCore: []}
+    entries_alive = {LanguageTable: [], _LanguageCore: []}
 
-    def recording(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        refs.append(weakref.ref(self))
-        tables = (ref() for ref in refs)
-        entries_alive.append(len({table.sub for table in tables if table is not None}
-                                 & entries))
+    def recording(cls):
+        original = cls.__init__
 
-    monkeypatch.setattr(LanguageTable, "__init__", recording)
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            refs[cls].append(weakref.ref(self))
+            built = (ref() for ref in refs[cls])
+            entries_alive[cls].append(len({item.sub for item in built if item is not None}
+                                          & entries))
+        return init
+
+    for cls in refs:
+        monkeypatch.setattr(cls, "__init__", recording(cls))
     enabled = gc.isenabled()
     gc.disable()
     try:
         code, _, _ = run_cli(capsys, *argv)
-        alive = [ref() for ref in refs if ref() is not None]
+        alive = [ref() for cls in refs for ref in refs[cls] if ref() is not None]
     finally:
         if enabled:
             gc.enable()
-    assert code == 0 and refs
+    assert code == 0 and all(refs.values())
     assert alive == []
-    assert max(entries_alive) == 1
+    assert [max(counts) for counts in entries_alive.values()] == [1, 1]
 
 
 @pytest.mark.parametrize("argv", [

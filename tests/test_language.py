@@ -246,29 +246,77 @@ def test_table_for_shares_tables_only_inside_a_session(fib):
     assert table_for(fib, 6) is not table
 
 
+def _assert_same_table(table, fresh):
+    assert (table.margin, table.stabilized_at, table.empty_subshift, table.legal_exact) \
+        == (fresh.margin, fresh.stabilized_at, fresh.empty_subshift, fresh.legal_exact)
+    cap = table._cap
+    for length in {*range(table.max_length + 2), cap // 2, cap - 1, cap}:
+        assert table.admitted_coded(length) == fresh.admitted_coded(length), length
+    for length in range(1, table.max_length + 1):
+        assert table.legal_coded(length) == fresh.legal_coded(length), length
+
+
+@pytest.mark.parametrize(
+    "sub", [entry.substitution() for entry in CORPUS.values()] + _non_primitive_sample(20),
+    ids=list(CORPUS) + [f"non_primitive_{i}" for i in range(20)])
+def test_tables_share_one_core_per_cap(sub, monkeypatch):
+    # the cap is margin + 2 for a non-primitive rule and max_length + 1 for
+    # a primitive one; tables of one cap compute its admitted words once
+    # and each equals a table built on its own
+    if sub.is_primitive():
+        keys = [(4, None), (4, 9), (4, 30)]
+    else:
+        keys = [(2, 5), (5, 5), (4, 5), (1, None), (5, None), (3, None)]
+    computed = []
+    compute = language._LanguageCore._compute_admitted
+
+    def counting(self):
+        computed.append(self._cap)
+        return compute(self)
+
+    monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
+    with language.session():
+        tables = [table_for(sub, max_length, margin) for max_length, margin in keys]
+    assert sorted(computed) == sorted({table._cap for table in tables})
+    assert len(computed) < len(tables)
+    for table in tables:
+        _assert_same_table(table, LanguageTable(sub, table.max_length, table.margin))
+
+
+def test_tables_sharing_a_core_decide_exactness_at_their_own_length():
+    # at margin 5, legality is stable through length 4 and not at length 5
+    sub = parse_substitution("a -> c a c\nb -> b c a c\nc -> c\n")
+    with language.session():
+        short, long = table_for(sub, 4, margin=5), table_for(sub, 5, margin=5)
+    assert short._core is long._core
+    assert (short.legal_exact, long.legal_exact) == (True, False)
+    for table in (short, long):
+        _assert_same_table(table, LanguageTable(sub, table.max_length, 5))
+
+
 def test_only_table_for_builds_tables():
-    # every stage asks language.table_for, which alone decides reuse; a
-    # LanguageTable(...) call elsewhere would bypass the session
+    # every stage asks language.table_for, which alone decides reuse, and
+    # each table takes its core from the session in its constructor; both
+    # are built through language._once, so a LanguageTable(...) or
+    # _LanguageCore(...) call, or a core named outside language.py, would
+    # bypass the session
     import ast
     import pathlib
     import substdyn
     offenders = []
     for path in sorted(pathlib.Path(substdyn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
-        if path.name == "language.py":
-            table_for_def = next(node for node in tree.body
-                                 if isinstance(node, ast.FunctionDef)
-                                 and node.name == "table_for")
-            allowed = {id(node) for node in ast.walk(table_for_def)}
         for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
-            if isinstance(node, ast.Call) and id(node) not in allowed:
+            if isinstance(node, ast.Call):
                 func = node.func
                 name = (func.attr if isinstance(func, ast.Attribute)
                         else getattr(func, "id", None))
-                if name == "LanguageTable":
-                    offenders.append(f"{where} builds a LanguageTable")
+                if name in ("LanguageTable", "_LanguageCore"):
+                    offenders.append(f"{where} builds a {name}")
+            if path.name != "language.py" and "_LanguageCore" in (
+                    getattr(node, "id", None), getattr(node, "attr", None)):
+                offenders.append(f"{where} names _LanguageCore")
             if isinstance(node, ast.Attribute) and node.attr == "is_default":
                 offenders.append(f"{where} reads is_default")
             if isinstance(node, ast.FunctionDef) and node.name == "is_default":
@@ -375,7 +423,7 @@ def test_leading_windows_match_full_expansion(sub):
         kept, stabilized_at = reference_kept_words(sub, cap)
         assert table.stabilized_at == stabilized_at
         assert table.admitted_coded(cap) == {w for w in kept if len(w) == cap}
-        short = [w for words in table._short.values() for w in words]
+        short = [w for words in table._core._short.values() for w in words]
         assert sorted(short) == sorted(w for w in kept if len(w) < cap)
         # every length walks down from the cap afresh past max_length, so
         # long caps are sampled

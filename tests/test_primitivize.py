@@ -1,6 +1,8 @@
 import dataclasses
+import operator
 import random
 import sys
+import types
 
 import pytest
 
@@ -9,7 +11,7 @@ from substdyn.classify import find_seed
 from substdyn.core import Substitution, parse_substitution
 from substdyn.corpus import sigma_family
 from substdyn.errors import (BlockPrefixError, DerivedLengthError, EmptySubshiftError,
-                             NonClosureError)
+                             NonClosureError, SubstdynError)
 from substdyn.primitivize import (BlockForm, ConjugateSubstitution, ReturnWordSystem,
                                   _close_blocks, build_psi, build_theta, primitivize,
                                   return_words, verify_conjugacy)
@@ -247,10 +249,19 @@ def reference_return_words(sub, seed):
     while True:
         rounds += 1
         if rounds > max_rounds:
-            raise NonClosureError("rounds", partial=tuple(found))
+            raise NonClosureError(
+                f"return words to {b!r} did not stabilise within {max_rounds} rounds; "
+                "evidence against minimality", partial=tuple(found))
+        # the next iterate's length, before it is built
+        if sum(len(power_sub.rules[x]) for x in word) > 2_000_000:
+            # the words found so far may close without a second stable round
+            system = found and _reference_close_blocks(power_sub, b, n, tuple(found))
+            if system:
+                return system
+            raise NonClosureError(
+                f"iterates of {b!r} grew past the scan budget before the "
+                "return words stabilised", partial=tuple(found))
         word = power_sub.apply(word)
-        if len(word) > 2_000_000:
-            raise NonClosureError("budget", partial=tuple(found))
         positions = [i for i, x in enumerate(word) if x == b]
         before = len(found)
         for start, end in zip(positions, positions[1:]):
@@ -268,48 +279,89 @@ def _return_word_outcome(search, sub, seed):
     try:
         rws = search(sub, seed)
     except NonClosureError as exc:
-        return ("NonClosureError", exc.partial)
+        return ("NonClosureError", str(exc), exc.partial)
     # dict equality ignores order, so compare the orders as well
     return (rws, list(rws.decompositions), list(rws.primed_last), list(rws.primed_w))
 
 
-def _coded_search(sub, seed):
-    return return_words(sub, seed=seed)
-
-
-def _assert_coded_scan_matches(sub, monkeypatch):
+def _assert_coded_scan_matches(sub):
     seed = find_seed(sub)
     expected = _return_word_outcome(reference_return_words, sub, seed)
-    assert _return_word_outcome(_coded_search, sub, seed) == expected
-    # slices of two letters put a boundary after every occurrence of b
-    with monkeypatch.context() as patch:
-        patch.setattr(primitivize_module, "_SCAN_CHUNK", 2)
-        assert _return_word_outcome(_coded_search, sub, seed) == expected
+    assert _return_word_outcome(lambda sub, seed: return_words(sub, seed=seed),
+                                sub, seed) == expected
     return expected
 
 
 @pytest.mark.parametrize("name", [name for name in corpus.names()
                                   if name not in ("wild_ab", "empty_swap")])
-def test_coded_return_words_match_tuple_scan_on_corpus(name, monkeypatch):
-    expected = _assert_coded_scan_matches(corpus.get(name), monkeypatch)
+def test_coded_return_words_match_tuple_scan_on_corpus(name):
+    expected = _assert_coded_scan_matches(corpus.get(name))
     assert isinstance(expected[0], ReturnWordSystem)
 
 
-def test_coded_return_words_match_tuple_scan_on_seeded_rules(monkeypatch):
+def test_coded_return_words_match_tuple_scan_on_seeded_rules():
     rng = random.Random(23)
     names = {"a": "a0", "b": "1b", "c": "c", "d": "dd"}
     for _ in range(6):
         sub = random_minimal_nonprimitive(rng)
-        assert isinstance(_assert_coded_scan_matches(sub, monkeypatch)[0], ReturnWordSystem)
+        assert isinstance(_assert_coded_scan_matches(sub)[0], ReturnWordSystem)
         # multi-character tokens: the coding, not the token text, is scanned
-        _assert_coded_scan_matches(retoken(sub, names), monkeypatch)
+        _assert_coded_scan_matches(retoken(sub, names))
 
 
 @pytest.mark.parametrize("rules", ["a -> aab\nb -> bb\n",     # round limit
                                    "a -> baa\nb -> bbbb\n"])  # scan budget
-def test_coded_return_words_match_tuple_scan_on_non_closure(rules, monkeypatch):
-    outcome = _assert_coded_scan_matches(parse_substitution(rules), monkeypatch)
-    assert outcome[0] == "NonClosureError" and outcome[1]
+def test_coded_return_words_match_tuple_scan_on_non_closure(rules):
+    outcome = _assert_coded_scan_matches(parse_substitution(rules))
+    assert outcome[0] == "NonClosureError" and outcome[2]
+
+
+def _seeded_rules_with_seeds(count, seed):
+    """Rules of 2-5 letters with images of 1-4 letters, minimal or not,
+    kept when they have a seed letter."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        letters = "abcde"[:rng.randint(2, 5)]
+        sub = Substitution([(a, tuple(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+                            for a in letters])
+        try:
+            find_seed(sub)
+        except SubstdynError:
+            continue
+        out.append(sub)
+    return out
+
+
+def test_coded_return_words_match_tuple_scan_on_random_rules():
+    # the error type, its message and the order of its partial words too,
+    # on the round-limit and scan-budget paths as well as on closure
+    outcomes = [_assert_coded_scan_matches(sub) for sub in _seeded_rules_with_seeds(40, 7)]
+    kinds = {outcome[1].split()[0] if outcome[0] == "NonClosureError" else "closed"
+             for outcome in outcomes}
+    assert kinds == {"closed", "return", "iterates"}
+
+
+def test_return_words_map_short_stand_ins(monkeypatch):
+    # the iterates of sigma^N(b) reach 1.24M (asym_trib_a) and 1.51M
+    # (asym_trib_b) letters; the words sigma^N maps stay short
+    lengths = []
+
+    def methodcaller(name, *args):
+        apply = operator.methodcaller(name, *args)
+
+        def recording(coded):
+            image = apply(coded)
+            lengths.append(max(len(coded), len(image)))
+            return image
+        return recording
+
+    monkeypatch.setattr(primitivize_module, "operator",
+                        types.SimpleNamespace(methodcaller=methodcaller))
+    for name in ("asym_trib_a", "asym_trib_b"):
+        sub = corpus.get(name)
+        assert isinstance(return_words(sub, seed=find_seed(sub)), ReturnWordSystem)
+    assert lengths and max(lengths) <= 10_000
 
 
 def test_return_words_decode_only_the_system(monkeypatch):
