@@ -196,10 +196,6 @@ class H1Presentation:
     matrix: tuple[tuple[int, ...], ...]    # action on the cycle basis
     limit: DirectLimit                     # of the transpose
 
-    @property
-    def cohomology_rank(self):
-        return self.limit.eventual_rank
-
 
 def _spanning_forest(graph: Multigraph):
     """Greedy forest over the undirected graph in edge order; returns

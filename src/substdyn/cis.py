@@ -7,7 +7,8 @@ letter sets are exactly the fixed points of the canonicalization operator
 graph).  Canonicalization is monotone, deflationary and idempotent, and any
 canonical set strictly below another is reachable from it by deleting one
 edge and re-canonicalizing; the lattice is therefore enumerated completely
-by a downward deletion closure from the full complex.
+by a downward deletion closure from the full complex, which is already
+closed under joins and meets (see ``enumerate_cis``).
 
 Almost every vertex of that transition graph has one predecessor and one
 successor, and a bi-infinite path through such a vertex runs along the
@@ -17,6 +18,12 @@ them survive exactly when all are alive and both ends survive.
 Canonicalization therefore trims only the reduced graph of special vertices
 and chains (Cassaigne's reduced Rauzy graph), plus the pure cycles that
 hold no special vertex, and each call costs the size of that graph.
+
+The join of the lattice is the union, so every node is the union of the
+join-irreducible nodes below it (those that are not the union of the nodes
+strictly below them), and a lattice isomorphism is fixed by where it sends
+them (Birkhoff).  Comparing two lattices therefore tries the bijections of
+their join-irreducibles, not of all their nodes.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ class CanonicalizeContext:
                 token = window_tokens.get(window)
                 if token is None:
                     word = base.decode(window)
-                    token = f"{word[n]}|" + _context_text(base, word)
+                    token = f"{word[n]}|" + base.format_word(word).replace(" ", ".")
                     window_tokens[window] = token
                 out.add(token)
             return frozenset(out)
@@ -160,18 +167,12 @@ class CanonicalizeContext:
         return frozenset(out)
 
 
-def _context_text(sub: Substitution, context) -> str:
-    return sub.format_word(context).replace(" ", ".")
-
-
 def image_period(edges: Subcomplex, collared: CollaredSubstitution,
-                 context: CanonicalizeContext | None = None) -> int | None:
+                 context: CanonicalizeContext) -> int | None:
     """Least t >= 1 with the t-fold canonicalized image equal to the set
     itself, or None when the set is not on its own image cycle."""
     if not edges:
         return 1
-    if context is None:
-        context = CanonicalizeContext(collared)
     orbit = [frozenset(edges)]
     seen = {orbit[0]: 0}
     while True:
@@ -295,7 +296,14 @@ def enumerate_cis(collared: CollaredSubstitution,
                   max_nodes: int = 512,
                   context: CanonicalizeContext | None = None) -> CISLattice:
     """The full lattice of canonical subcomplexes, with per-node direct-limit
-    presentations and quotient data."""
+    presentations and quotient data.
+
+    The deletion closure needs no second pass under joins and meets.  A
+    union of canonical sets is canonical: monotonicity puts each set inside
+    the canonicalized union, and deflation keeps that inside the union.
+    canonicalize(a & b) is canonical by idempotence.  Both lie below the
+    top, and the deletion closure holds every canonical set below the top,
+    so it already holds both."""
     base = collared.base
     if tameness is None:
         tameness = decide_tameness(base)
@@ -331,18 +339,6 @@ def enumerate_cis(collared: CollaredSubstitution,
                     raise SubstdynError(f"lattice exceeded {max_nodes} nodes")
                 family.add(candidate)
                 stack.append(candidate)
-
-    # closure sanity: unions of canonical sets are canonical and meets
-    # re-canonicalize, so the deletion closure already contains both; any
-    # addition here signals a margin artifact
-    members = sorted(family, key=lambda k: (-len(k), tuple(sorted(k))))
-    for a, b in itertools.combinations(members, 2):
-        for candidate in (context.canonicalize(a | b),
-                          context.canonicalize(a & b)):
-            if candidate not in family:
-                family.add(candidate)
-                warnings.append("lattice closure added a node outside the "
-                                "deletion closure (margin artifact)")
     members = sorted(family, key=lambda k: (-len(k), tuple(sorted(k))))
 
     # node periods under the induced image map; a genuine invariant
@@ -359,6 +355,7 @@ def enumerate_cis(collared: CollaredSubstitution,
 
     nodes = []
     q_graphs = {}
+    components = {}  # per node: its edges' component ids
     graph = complex_.graph
     for idx, k in enumerate(members):
         if k == top:
@@ -369,7 +366,8 @@ def enumerate_cis(collared: CollaredSubstitution,
             name = f"cis_{idx}"
         if k:
             sub_graph = _sub_multigraph(graph, k)
-            count, _ = sub_graph.components()
+            count, comp = sub_graph.components()
+            components[name] = {e: comp[sub_graph.source[e]] for e in k}
             h1 = graph_h1(sub_graph, _restricted_paths(collared, k, power))
         else:
             count, h1 = 0, None
@@ -385,7 +383,7 @@ def enumerate_cis(collared: CollaredSubstitution,
 
     order = [(a.name, b.name) for a in nodes for b in nodes
              if a.edges < b.edges]
-    inclusion_arrows = _inclusion_arrows(nodes, graph)
+    inclusion_arrows = _inclusion_arrows(nodes, components)
     quotient_arrows = _quotient_arrows(nodes, q_graphs)
     return CISLattice(collared=collared, complex=complex_, nodes=nodes,
                       order=order, power=power,
@@ -394,19 +392,12 @@ def enumerate_cis(collared: CollaredSubstitution,
                       exact=context.exact, warnings=warnings)
 
 
-def _cycle_vectors_by_edge(h1: H1Presentation, graph: Multigraph):
-    out = []
-    for cycle in h1.basis:
-        out.append({e: cycle[i] for i, e in enumerate(graph.edges) if cycle[i]})
-    return out
-
-
 def _limit_data(h1: H1Presentation | None, graph: Multigraph):
     """A presentation's share of every limit map rank it enters: its cycles
     by edge, its chord positions and A^dim; None when its rank is 0."""
     if h1 is None or h1.rank == 0:
         return None
-    return (_cycle_vectors_by_edge(h1, graph),
+    return ([{e: c for e, c in zip(graph.edges, cycle) if c} for cycle in h1.basis],
             {c: i for i, c in enumerate(h1.chord_edges)},
             intlin.mat_pow([list(r) for r in h1.matrix], h1.rank))
 
@@ -426,28 +417,13 @@ def _limit_data_rank(source, target, project):
     return intlin.rank(intlin.mat_mul(a_tgt, intlin.mat_mul(proj, a_src)))
 
 
-def _limit_map_rank(source_h1, source_graph, target_h1, target_graph, project):
-    """Rank of the induced map between direct limits, computed as the rank
-    of target_A^dim . projection . source_A^dim."""
-    return _limit_data_rank(_limit_data(source_h1, source_graph),
-                            _limit_data(target_h1, target_graph), project)
-
-
-def _component_map_rank(small_edges, big_edges, graph):
-    """Number of components of the larger node that the smaller one meets."""
-    if not small_edges or not big_edges:
-        return 0
-    big_graph = _sub_multigraph(graph, big_edges)
-    _, big_comp = big_graph.components()
-    return len({big_comp[big_graph.source[e]] for e in small_edges})
-
-
-def _inclusion_arrows(nodes, graph):
+def _inclusion_arrows(nodes, components):
     # ranks of the cohomology restriction maps, which run from the larger
     # node K to the smaller one L.  For 1-dimensional complexes
     # H^2(K, L) = 0, so restriction H^1(K) -> H^1(L) is onto; direct limits
     # are exact and both nodes use the lattice power, so it stays onto in
-    # the limit and its rank is that of H^1(L)
+    # the limit and its rank is that of H^1(L).  The H0 rank is the number
+    # of K's components that L meets
     arrows = []
     for small in nodes:
         for big in nodes:
@@ -456,7 +432,7 @@ def _inclusion_arrows(nodes, graph):
             arrows.append({
                 "from": small.name, "to": big.name,
                 "h1_map_rank": small.h1_rank,
-                "h0_map_rank": _component_map_rank(small.edges, big.edges, graph),
+                "h0_map_rank": len({components[big.name][e] for e in small.edges}),
             })
     return arrows
 
@@ -506,20 +482,35 @@ def _node_label(node: CISNode):
     return (node.h0_rank, node.h1_rank, node.quotient_h0, node.quotient_h1_rank)
 
 
+def _join_irreducibles(nodes):
+    """Positions of the nodes that are not the union of the nodes strictly
+    below them."""
+    return [i for i, x in enumerate(nodes) if x.edges != frozenset().union(
+        *(y.edges for y in nodes if y.edges < x.edges))]
+
+
 def _order_isomorphism_exists(nodes_a, order_a, nodes_b, order_b, labels=None):
-    if len(nodes_a) != len(nodes_b):
+    """Whether a bijection of the nodes preserves the order both ways (and
+    the labels, when given), tried through the join-irreducibles."""
+    irr_a, irr_b = _join_irreducibles(nodes_a), _join_irreducibles(nodes_b)
+    if len(nodes_a) != len(nodes_b) or len(irr_a) != len(irr_b):
         return False
-    names_a = [n.name for n in nodes_a]
-    names_b = [n.name for n in nodes_b]
-    rel_a = {(x, y) for x, y in order_a}
-    rel_b = {(x, y) for x, y in order_b}
-    for perm in itertools.permutations(range(len(names_b))):
-        if labels is not None:
-            if any(labels[0][i] != labels[1][perm[i]] for i in range(len(names_a))):
-                continue
-        mapping = {names_a[i]: names_b[perm[i]] for i in range(len(names_a))}
-        if all(((mapping[x], mapping[y]) in rel_b) == ((x, y) in rel_a)
-               for x in names_a for y in names_a):
+    rel_a, rel_b = set(order_a), set(order_b)
+    position_b = {y.edges: j for j, y in enumerate(nodes_b)}
+    below = [[i for i in irr_a if nodes_a[i].edges <= x.edges] for x in nodes_a]
+    for perm in itertools.permutations(irr_b):
+        image = dict(zip(irr_a, perm))
+        mapping = [position_b.get(frozenset().union(
+            *(nodes_b[image[i]].edges for i in irrs))) for irrs in below]
+        if None in mapping or len(set(mapping)) < len(mapping) or (
+                labels and any(labels[0][i] != labels[1][j]
+                               for i, j in enumerate(mapping))):
+            continue
+        # a bijection made by unions can still fail to reflect the order
+        # when the lattice is not distributive
+        names = {x.name: nodes_b[j].name for x, j in zip(nodes_a, mapping)}
+        if all(((names[x], names[y]) in rel_b) == ((x, y) in rel_a)
+               for x in names for y in names):
             return True
     return False
 

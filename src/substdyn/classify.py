@@ -19,7 +19,8 @@ from .core import PointedWord, Substitution, Word
 from .errors import (EmptySubshiftError, MarginError, SubstdynError,
                      WildInputError, WitnessError)
 from .graphs import cyclic_nodes, forward_closure
-from .language import LanguageTable, periodic_point_search, table_for
+from .language import (LanguageTable, periodic_orbit_escape,
+                       periodic_point_search, table_for)
 
 if TYPE_CHECKING:
     from .cis import CISLattice
@@ -333,10 +334,6 @@ class MinimalityResult:
     # would otherwise collar and enumerate the same lattice again
     lattice: CISLattice | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def is_no(self):
-        return self.verdict == "no"
-
 
 def _contains(word: Word, factor: Word) -> bool:
     if not factor:
@@ -391,19 +388,15 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
         return MinimalityResult("no", reason="empty subshift")
     if sub.is_primitive():
         return MinimalityResult("yes", reason="primitive")
-    if table is None:
-        table = table_for(sub, max(8, 2 * sub.max_image_len * len(sub.alphabet)))
     if not report.tame:
         word = report.witness.periodic_word
-        ring = word * (table.max_length // len(word) + 2)
-        factors = {ring[i:i + table.max_length] for i in range(len(word))}
-        legal_top = set(table.legal(table.max_length))
-        if legal_top <= factors:
-            return MinimalityResult("yes", reason="single periodic orbit",
-                                    bound=table.max_length)
-        outside = sorted(legal_top - factors)[0]
-        return MinimalityResult("no", witness=(outside, ring[:table.max_length]),
+        length, outside = periodic_orbit_escape(sub, word)
+        if outside is None:
+            return MinimalityResult("yes", reason="single periodic orbit", bound=length)
+        return MinimalityResult("no", witness=(outside, (word * length)[:length]),
                                 reason="wild with a sequence outside the periodic orbit")
+    if table is None:
+        table = table_for(sub, max(8, 2 * sub.max_image_len * len(sub.alphabet)))
     constant = _recurrence_constant(table, c_bound)
     if constant is not None:
         if table.legal_exact:

@@ -373,6 +373,18 @@ def periodic_search_length(sub: Substitution, period_bound: int) -> int:
     return max(4 * period_bound + 4, 2 * sub.max_image_len * len(sub.alphabet))
 
 
+def periodic_orbit_escape(sub: Substitution, word: Word) -> tuple[int, Word | None]:
+    """Whether the subshift is the single periodic orbit of ``word``, checked
+    on the legal words of length ``periodic_search_length(sub, len(word))``:
+    that length, and the least of those words outside the orbit (None when
+    every one is a factor of the orbit)."""
+    length = periodic_search_length(sub, len(word))
+    ring = word * (length // len(word) + 2)
+    factors = {ring[i:i + length] for i in range(len(word))}
+    outside = sorted(set(table_for(sub, length).legal(length)) - factors)
+    return length, (outside[0] if outside else None)
+
+
 def periodic_point_search(sub: Substitution, period_bound: int,
                           table: LanguageTable | None = None) -> list[Word]:
     """Primitive cyclic words u with |u| <= period_bound whose bi-infinite

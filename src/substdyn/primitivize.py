@@ -24,7 +24,7 @@ from .errors import (BlockPrefixError, BlockShortfallError, ConjugacyError,
                      DerivedLengthError, EmptySubshiftError, NonClosureError,
                      PrimitivityError, WildInputError)
 from .classify import SeedResult, TamenessReport, decide_tameness, find_seed
-from .language import periodic_search_length, table_for
+from .language import periodic_orbit_escape, table_for
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,6 @@ def _split_coded(coded: str, b_code: str):
     """(head before the first b, blocks starting at occurrences of b)."""
     head, *tails = coded.split(b_code)
     return head, tuple(b_code + tail for tail in tails)
-
-
-def _close_blocks(sub, power_sub, b, n, words):
-    """``_close_coded`` on tuple words, with sigma^N given as ``power_sub``."""
-    return _close_coded(sub, power_sub.apply_coded, b, n, [sub.encode(v) for v in words])
 
 
 def _close_coded(sub, apply_power, b, n, words):
@@ -483,10 +478,7 @@ def _periodic_bypass(sub: Substitution, report: TamenessReport):
     subshift of the constant-length primitive substitution sending every
     legal letter of the cycle to the periodic word."""
     word = report.witness.periodic_word
-    table = table_for(sub, periodic_search_length(sub, len(word)))
-    ring = word * (table.max_length // len(word) + 2)
-    factors = {ring[i:i + table.max_length] for i in range(len(word))}
-    if not set(table.legal(table.max_length)) <= factors:
+    if periodic_orbit_escape(sub, word)[1] is not None:
         return None
     letters = sorted(set(word), key=sub.letter_index)
     rotations = {}

@@ -1,10 +1,15 @@
 """Closed-invariant-subspace helpers that only the tests use, as oracles:
-one-shot canonicalization, the canonicalizations of every edge subset, and
-the eventual range of the induced image map.
+one-shot canonicalization, the canonicalizations of every edge subset, the
+eventual range of the induced image map, the rank of a map between direct
+limits, the pairwise closure pass that ``enumerate_cis`` once ran after its
+deletion closure, and the lattice comparison over every node bijection.
 """
 
+import itertools
+
 from substdyn.apcomplex import build_complex
-from substdyn.cis import CanonicalizeContext, Subcomplex, edge_image
+from substdyn.cis import (CanonicalizeContext, Subcomplex, _limit_data,
+                          _limit_data_rank, edge_image)
 from substdyn.collar import CollaredSubstitution
 
 
@@ -56,3 +61,48 @@ def brute_force_canonical_sets(collared: CollaredSubstitution,
         subset = frozenset(e for i, e in enumerate(edges) if bits >> i & 1)
         out.add(context.canonicalize(subset))
     return out
+
+
+def limit_map_rank(source_h1, source_graph, target_h1, target_graph, project):
+    """Rank of the induced map between direct limits, computed as the rank
+    of target_A^dim . projection . source_A^dim."""
+    return _limit_data_rank(_limit_data(source_h1, source_graph),
+                            _limit_data(target_h1, target_graph), project)
+
+
+def closure_additions(family, context: CanonicalizeContext) -> list[Subcomplex]:
+    """The canonicalized unions and meets of pairs of the family that the
+    family lacks, found as the closure pass did: over the members in node
+    order, each addition joining the family.  The ``enumerate_cis``
+    docstring argues that a deletion closure lacks none."""
+    family = set(family)
+    added = []
+    members = sorted(family, key=lambda k: (-len(k), tuple(sorted(k))))
+    for a, b in itertools.combinations(members, 2):
+        for candidate in (context.canonicalize(a | b),
+                          context.canonicalize(a & b)):
+            if candidate not in family:
+                family.add(candidate)
+                added.append(candidate)
+    return added
+
+
+def permutation_order_isomorphism_exists(nodes_a, order_a, nodes_b, order_b,
+                                         labels=None):
+    """Whether some bijection of the nodes preserves the order both ways
+    (and the labels, when given), trying all N! bijections."""
+    if len(nodes_a) != len(nodes_b):
+        return False
+    names_a = [n.name for n in nodes_a]
+    names_b = [n.name for n in nodes_b]
+    rel_a = {(x, y) for x, y in order_a}
+    rel_b = {(x, y) for x, y in order_b}
+    for perm in itertools.permutations(range(len(names_b))):
+        if labels is not None:
+            if any(labels[0][i] != labels[1][perm[i]] for i in range(len(names_a))):
+                continue
+        mapping = {names_a[i]: names_b[perm[i]] for i in range(len(names_a))}
+        if all(((mapping[x], mapping[y]) in rel_b) == ((x, y) in rel_a)
+               for x in names_a for y in names_a):
+            return True
+    return False

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from substdyn import intlin
-from substdyn.cis import (CanonicalizeContext, diagram_compare, edge_image,
-                          enumerate_cis, extend_substitution, _limit_map_rank,
-                          _quotient_arrows, _quotient_multigraph, _quotient_paths,
-                          _restricted_paths, _sub_multigraph)
+from substdyn import cis, intlin
+from substdyn.cis import (CanonicalizeContext, CISLattice, CISNode, diagram_compare,
+                          edge_image, enumerate_cis, extend_substitution,
+                          _node_label, _order_isomorphism_exists, _quotient_arrows,
+                          _quotient_multigraph, _quotient_paths, _restricted_paths,
+                          _sub_multigraph)
 from substdyn.collar import collar
 from substdyn.core import parse_substitution
 from substdyn.corpus import CORPUS
@@ -17,7 +18,9 @@ from substdyn.errors import SubstdynError, SymbolError, WildInputError
 from substdyn.graphs import UnionFind
 from substdyn.language import LanguageTable
 
-from cis_oracles import brute_force_canonical_sets, cis_canonicalize, eventual_range
+from cis_oracles import (brute_force_canonical_sets, cis_canonicalize, closure_additions,
+                         eventual_range, limit_map_rank,
+                         permutation_order_isomorphism_exists)
 from conftest import reference_canonicalize, reference_graph_h1, tame_lattices
 from test_properties import SUBSTITUTIONS
 
@@ -402,7 +405,6 @@ def test_canonicalize_trims_only_special_vertices(monkeypatch):
     # sigma_5 at its bounded-word radius has 464 Rauzy vertices, of which 8
     # are special, joined by 12 chains; trimming per vertex would pass all
     # 464 (or those alive) to the trimming routine
-    from substdyn import cis
     from substdyn.classify import decide_tameness
     sub = CORPUS["sigma_5"].substitution()
     report = decide_tameness(sub)
@@ -463,7 +465,7 @@ def test_inclusion_arrows_match_limit_map_oracle(lattice_cases):
             small, big = lattice.node(arrow["from"]), lattice.node(arrow["to"])
             s_graph = _sub_multigraph(graph, small.edges) if small.edges else None
             b_graph = _sub_multigraph(graph, big.edges)
-            assert arrow["h1_map_rank"] == _limit_map_rank(
+            assert arrow["h1_map_rank"] == limit_map_rank(
                 small.h1, s_graph, big.h1, b_graph, lambda vec: vec)
             # components of the larger node met by the smaller one
             uf = UnionFind()
@@ -537,3 +539,139 @@ def test_quotient_arrows_match_per_pair_reference(lattice_cases, monkeypatch):
                                  if node.quotient_h1 and node.quotient_h1.rank)
     assert sum(len(lattice.quotient_arrows) for _, lattice in corpus) == 148
     assert checked > 148
+
+
+def test_closure_pass_adds_no_node(lattice_cases, monkeypatch):
+    # the pairwise closure pass, run on each deletion closure (every set
+    # whose period enumerate_cis asks for), finds nothing to add; nor does
+    # it on the nodes kept, so their join is the union, as the compare
+    # through join-irreducibles needs
+    corpus, seeded = lattice_cases
+    family = []
+    period = cis.image_period
+
+    def recording(edges, collared, context):
+        family.append(edges)
+        return period(edges, collared, context)
+
+    monkeypatch.setattr(cis, "image_period", recording)
+    for collared, lattice in corpus + seeded:
+        context = CanonicalizeContext(collared)
+        family.clear()
+        assert enumerate_cis(collared, context=context).nodes == lattice.nodes
+        assert {node.edges for node in lattice.nodes} <= set(family)
+        assert closure_additions(family, context) == []
+        assert closure_additions([node.edges for node in lattice.nodes], context) == []
+    assert len(corpus) == 25
+
+
+@pytest.mark.parametrize("name", ["fib_handle", "mixed_types"])
+def test_each_node_subgraph_is_built_once(name, monkeypatch):
+    from substdyn.classify import decide_tameness
+    sub = CORPUS[name].substitution()
+    report = decide_tameness(sub)
+    collared = collar(sub, report.n_sigma)
+    built = []
+    build = cis._sub_multigraph
+
+    def counting(graph, edges):
+        built.append(frozenset(edges))
+        return build(graph, edges)
+
+    monkeypatch.setattr(cis, "_sub_multigraph", counting)
+    lattice = enumerate_cis(collared, tameness=report)
+    nonempty = [node.edges for node in lattice.nodes if node.edges]
+    assert len(nonempty) >= 2
+    assert sorted(built, key=sorted) == sorted(nonempty, key=sorted)
+
+
+def set_lattice(sets, marked=None):
+    """The lattice of the given edge sets under inclusion, with node names
+    as ``enumerate_cis`` gives them.  Each node's H0 rank records whether
+    it holds ``marked``, a label that no order isomorphism needs to keep."""
+    sets = sorted({frozenset(k) for k in sets}, key=lambda k: (-len(k), tuple(sorted(k))))
+    nodes = [CISNode(name="omega" if i == 0 else "empty" if not k else f"cis_{i}",
+                     edges=k, period=1, h0_rank=int(marked in k), h1=None,
+                     quotient_h0=0, quotient_h1=None)
+             for i, k in enumerate(sets)]
+    order = [(a.name, b.name) for a in nodes for b in nodes if a.edges < b.edges]
+    return CISLattice(collared=None, complex=None, nodes=nodes, order=order,
+                      power=1, inclusion_arrows=[], quotient_arrows=[], exact=True)
+
+
+def down_set_lattice(elements, below):
+    """The lattice of down-sets of a poset, whose strict pairs (x, y) with
+    x < y are ``below``; the first element is marked."""
+    return set_lattice([s for r in range(len(elements) + 1)
+                        for s in itertools.combinations(elements, r)
+                        if all(x in s for x, y in below if y in s)],
+                       marked=elements[0])
+
+
+def _posets(elements):
+    """Every partial order on the elements, as its set of strict pairs."""
+    pairs = [(x, y) for x in elements for y in elements if x != y]
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        rel = {p for p, keep in zip(pairs, chosen) if keep}
+        if all((y, x) not in rel for x, y in rel) and \
+                all((x, z) in rel for x, y in rel for w, z in rel if y == w):
+            yield rel
+
+
+def test_compare_through_join_irreducibles_matches_all_bijections(lattice_cases):
+    lattices = [lattice for _, lattice in lattice_cases[0] + lattice_cases[1]]
+    # the down-set lattices of every poset on at most three points, for
+    # equal-size pairs that are not isomorphic
+    for size in (1, 2, 3):
+        lattices += [down_set_lattice("xyz"[:size], rel) for rel in _posets("xyz"[:size])]
+    outcomes = set()
+    pairs = 0
+    for first, second in itertools.product(lattices, repeat=2):
+        if len(first.nodes) != len(second.nodes) or len(first.nodes) > 8:
+            continue
+        labels = ([_node_label(n) for n in first.nodes],
+                  [_node_label(n) for n in second.nodes])
+        for given in (None, labels):
+            found = _order_isomorphism_exists(first.nodes, first.order,
+                                              second.nodes, second.order, given)
+            assert found == permutation_order_isomorphism_exists(
+                first.nodes, first.order, second.nodes, second.order, given)
+            outcomes.add((given is None, found))
+        pairs += 1
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    assert pairs >= 2700
+
+
+def test_compare_of_twenty_node_lattices_tries_few_bijections(monkeypatch):
+    # the down-sets of V + {d, e} and of its dual, Lambda + {d, e}: 20 nodes
+    # each, not isomorphic; trying every node bijection would take 20!
+    v_shape = down_set_lattice("xyzde", {("x", "y"), ("x", "z")})
+    dual = down_set_lattice("xyzde", {("y", "x"), ("z", "x")})
+    renamed = down_set_lattice("zyxed", {("z", "y"), ("z", "x")})
+    assert len(v_shape.nodes) == len(dual.nodes) == 20
+    tried = []
+    permutations = itertools.permutations
+
+    def counting(*args):
+        for perm in permutations(*args):
+            tried.append(perm)
+            if len(tried) > 10 ** 5:
+                raise AssertionError("more than 10^5 bijections tried")
+            yield perm
+
+    monkeypatch.setattr(cis.itertools, "permutations", counting)
+    assert not diagram_compare(v_shape, dual).shape_isomorphic
+    assert diagram_compare(v_shape, renamed).shape_isomorphic
+    assert len(tried) <= 10 ** 5
+
+
+def test_compare_checks_the_order_of_each_bijection():
+    # the pentagon and a square on a one-step tail: both are closed under
+    # union and have three join-irreducibles, and one bijection of those
+    # extends by unions to a bijection of the nodes that is not an order
+    # isomorphism
+    pentagon = set_lattice([(), (1,), (1, 3), (2, 3), (1, 2, 3)])
+    tailed_square = set_lattice([(), (1,), (0, 1), (1, 3), (0, 1, 3)])
+    assert not diagram_compare(pentagon, tailed_square).shape_isomorphic
+    assert not permutation_order_isomorphism_exists(
+        pentagon.nodes, pentagon.order, tailed_square.nodes, tailed_square.order)

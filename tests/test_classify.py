@@ -9,7 +9,7 @@ from substdyn.classify import (WildWitness, _pointed_shape_elements, classify_le
 from substdyn.core import PointedWord, parse_substitution
 from substdyn.corpus import sigma_family
 from substdyn.errors import WildInputError, WitnessError
-from substdyn.language import LanguageTable, periodic_point_search
+from substdyn.language import LanguageTable, periodic_point_search, session, table_for
 
 from conftest import (brute_bounded_letters, brute_iterate, random_minimal_nonprimitive,
                       retoken)
@@ -181,3 +181,40 @@ def test_coded_shape_filter_matches_decoded_on_seeded_rules():
         sub = random_minimal_nonprimitive(rng)
         assert _assert_coded_shape_filter_matches(sub)
         assert _assert_coded_shape_filter_matches(retoken(sub, names))
+
+
+def _analyze_table_single_orbit(sub, word):
+    """The single-periodic-orbit test as ``is_minimal`` ran it on the
+    ``analyze`` table of length max(8, 2L|A|), before it moved onto the
+    periodic-search table that ``primitivize`` reads."""
+    length = max(8, 2 * sub.max_image_len * len(sub.alphabet))
+    ring = word * (length // len(word) + 2)
+    factors = {ring[i:i + length] for i in range(len(word))}
+    return set(table_for(sub, length).legal(length)) <= factors
+
+
+def test_single_orbit_test_agrees_on_both_table_lengths():
+    # minimality and the periodic bypass share one test on one table; on
+    # wild non-primitive rules it agrees with the analyze-table test too
+    from conftest import random_substitution
+    from test_properties import SUBSTITUTIONS
+    from substdyn.primitivize import _periodic_bypass
+    rng = random.Random(1212)
+    subs = [corpus.get(name) for name in corpus.names()] + SUBSTITUTIONS + \
+        [random_substitution(rng, max_letters=4) for _ in range(1500)]
+    verdicts = []
+    seen = set()
+    for sub in subs:
+        if sub.is_primitive() or sub.to_text() in seen:
+            continue
+        seen.add(sub.to_text())
+        with session():
+            report = decide_tameness(sub)
+            if report.tame or report.empty_subshift:
+                continue
+            single = _analyze_table_single_orbit(sub, report.witness.periodic_word)
+            minimality = is_minimal(sub, report=report)
+            assert minimality.verdict == ("yes" if single else "no"), sub.to_text()
+            assert (_periodic_bypass(sub, report) is not None) == single, sub.to_text()
+        verdicts.append(single)
+    assert len(verdicts) >= 120 and 0 < sum(verdicts) < len(verdicts)

@@ -13,7 +13,7 @@ from substdyn.corpus import sigma_family
 from substdyn.errors import (BlockPrefixError, DerivedLengthError, EmptySubshiftError,
                              NonClosureError, SubstdynError)
 from substdyn.primitivize import (BlockForm, ConjugateSubstitution, ReturnWordSystem,
-                                  _close_blocks, build_psi, build_theta, primitivize,
+                                  _close_coded, build_psi, build_theta, primitivize,
                                   return_words, verify_conjugacy)
 import intlin_oracles as intlin
 
@@ -21,6 +21,11 @@ from conftest import random_minimal_nonprimitive, retoken
 
 # the package attribute ``substdyn.primitivize`` is the function
 primitivize_module = sys.modules["substdyn.primitivize"]
+
+
+def _close_blocks(sub, power_sub, b, n, words):
+    """``_close_coded`` on tuple words, with sigma^N given as ``power_sub``."""
+    return _close_coded(sub, power_sub.apply_coded, b, n, [sub.encode(v) for v in words])
 
 
 def gamma_token(i):
