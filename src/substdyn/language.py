@@ -30,6 +30,23 @@ admitted word of length l is a prefix or suffix of an admitted word of
 length l + 1, or itself a short image, so admitted(l) is the prefixes and
 suffixes of admitted(l + 1) plus the short images of length l.
 
+A primitive rule derives each length on its first request instead, once
+per rule: up to BASE_CAP from the core at that cap, a longer length l by
+lifting through sigma.  Its language is extendable (sigma^N(b) holds every
+letter, so a factor of sigma^k(a) recurs, with context on both sides, in
+every long sigma^(k+N+j)(b)), so every admitted word of length < m is a
+prefix of one of length m.  So an admitted w of length l >= 2, a factor of
+sigma(u) starting inside sigma(u[i]), is a leading window (one starting in
+sigma(v[0])) of sigma(v) for an admitted v of length m extending or cutting
+u[i:], once every such v has |sigma(v)| >= |sigma(v[0])| + l - 1.  Blocks
+bound m: v[1:] holds floor((m - 1) / k) disjoint admitted k-blocks, each
+with an image of at least M_k letters (the least over admitted k-words), so
+m = 1 + k * ceil((l - 1) / M_k) will do, least over k <= BASE_CAP.  Where
+m >= l (M_k <= k for every k, as for a -> a and its empty subshift), the
+table's core at max_length + 1 serves, as it served every length before.
+Primitive factor complexity is linear (Cassaigne 1997), so the lifted sets
+stay small.
+
 Legal words are factors of bi-infinite sequences of the subshift.  A word
 of length l is accepted when it lies on a bi-infinite path of the Rauzy
 graph at a margin order m >= l (reachable from a cycle and reaching a
@@ -52,14 +69,16 @@ and least among their rotations, not all |A|^p words.
 Every stage gets its table from ``table_for``, keyed by (substitution,
 max_length, resolved margin).  Inside ``session()``, which ``cli.main``
 opens around each command, each key is built once; outside one, every call
-builds afresh.  A table only truncates its core to max_length: the
-admitted words up to the cap (margin + 2, or max_length + 1 for a
-primitive rule) and the bi-infinite vertices at both margin orders do not
-depend on it, so a core is built once per (substitution, cap) likewise.
-The store is a context variable dropped when the session closes, not an
-attribute of the substitution: a table refers to its rule, so a store on
-the rule forms a reference cycle that only the cyclic collector frees, and
-that doubled a corpus pass's peak RSS (39 to 82-87 MB).
+builds afresh.  A non-primitive table only truncates its core to
+max_length: the admitted words up to the cap margin + 2 and the bi-infinite
+vertices at both margin orders do not depend on it, so a core is built once
+per (substitution, cap) likewise.  A primitive table's stabilized_at (read
+by analyze alone) comes from its core at max_length + 1, which once built
+serves the lengths not yet derived.  The store is a context variable
+dropped when the session closes, not an attribute of the substitution: a
+table refers to its rule, so a store on the rule forms a reference cycle
+that only the cyclic collector frees, and that doubled a corpus pass's peak
+RSS (39 to 82-87 MB).
 """
 
 from __future__ import annotations
@@ -74,6 +93,10 @@ from .graphs import biinfinite_path_nodes
 # Hard ceiling on the default margin order; larger orders must be requested
 # explicitly (guards accidental blow-ups on large alphabets).
 DEFAULT_MARGIN_CAP = 400
+
+# A primitive table takes lengths up to this cap from the core at it and
+# lifts longer ones; collar's radius-2 table builds this core anyway.
+BASE_CAP = 7
 
 
 def default_margin(sub: Substitution, max_length: int) -> int:
@@ -90,9 +113,9 @@ def resolve_margin(sub: Substitution, max_length: int, margin: int | None = None
 class _LanguageCore:
     """What the tables of a rule at one cap share: the admitted words, and
     for a non-primitive rule the bi-infinite Rauzy vertices at cap - 2 and
-    cap - 1."""
+    cap - 1.  Every caller knows whether the rule is primitive."""
 
-    def __init__(self, sub: Substitution, cap: int):
+    def __init__(self, sub: Substitution, cap: int, primitive: bool):
         self.sub = sub
         self._cap = cap
         self._short: dict[int, list[str]] = {}
@@ -100,7 +123,7 @@ class _LanguageCore:
         self.stabilized_at = self._compute_admitted()
         self.empty_subshift = not self._admitted_cache[cap]
         self.vertices = None
-        if not self.empty_subshift and not sub.is_primitive():
+        if not self.empty_subshift and not primitive:
             self.vertices = (self._biinfinite_words(cap - 2),
                              self._biinfinite_words(cap - 1))
 
@@ -212,6 +235,42 @@ class _LanguageCore:
         return biinfinite_path_nodes(vertices, succ_map.__getitem__, pred_map.__getitem__)
 
 
+class _PrimitiveWords:
+    """A primitive rule's admitted words by length, and its cores by cap."""
+
+    def __init__(self, sub: Substitution):
+        self.sub = sub
+        self._words: dict[int, frozenset[str]] = {}
+        self._cores: dict[int, _LanguageCore] = {}
+
+    def core(self, cap: int) -> _LanguageCore:
+        if cap not in self._cores:
+            self._cores[cap] = _once(_LanguageCore, self.sub, cap, True)
+        return self._cores[cap]
+
+    def admitted(self, length: int, cap: int) -> frozenset[str]:
+        """The words of a length, for a table whose core is at ``cap``."""
+        if length not in self._words:
+            self._words[length] = self._derive(length, cap)
+        return self._words[length]
+
+    def _derive(self, length: int, cap: int) -> frozenset[str]:
+        apply = self.sub.apply_coded
+        if cap not in self._cores and length > BASE_CAP:
+            # M_k; no admitted k-words (a -> a) give M_k = k, bounding nothing
+            least = {k: min((len(apply(w)) for w in self.admitted(k, cap)), default=k)
+                     for k in range(1, BASE_CAP + 1)}
+            m = min(1 + k * -(-(length - 1) // least[k]) for k in least)
+            if m < length:
+                words = set()
+                for v in self.admitted(m, cap):
+                    image = apply(v)
+                    words.update(image[i:i + length] for i in range(len(apply(v[0]))))
+                return frozenset(words)
+        core = self._cores.get(cap) or self.core(BASE_CAP if length <= BASE_CAP else cap)
+        return core._admitted_exact_length(length, keep=cap)
+
+
 class LanguageTable:
     """Admitted/legal word sets of a substitution up to a length bound."""
 
@@ -222,21 +281,28 @@ class LanguageTable:
         self.max_length = max_length
         self.margin = resolve_margin(sub, max_length, margin)
         self._primitive = sub.is_primitive()
-        # admitted words up to cap are needed to build the Rauzy graphs at
-        # orders margin and margin + 1
+        # a non-primitive table needs admitted words up to cap for the Rauzy
+        # graphs at orders margin and margin + 1; a primitive one serves them
         self._cap = self.margin + 2 if not self._primitive else max_length + 1
-        self._core = _once(_LanguageCore, sub, self._cap)
-        self.stabilized_at = self._core.stabilized_at
-        self.empty_subshift = self._core.empty_subshift
         self._legal_cache: dict[int, frozenset[str]] = {}
         self.legal_exact = True
+        if self._primitive:
+            # words come from _PrimitiveWords; only a -> a keeps every
+            # image one letter long, and its subshift is empty
+            self._core = None
+            self._words = _once(_PrimitiveWords, sub)
+            self.empty_subshift = sub.max_image_len == 1
+            return
+        self._core = _once(_LanguageCore, sub, self._cap, False)
+        self.empty_subshift = self._core.empty_subshift
         if not self.empty_subshift:
             self._compute_legal()
 
-    # -- admitted ---------------------------------------------------------
+    @property
+    def stabilized_at(self) -> int:
+        return (self._core or self._words.core(self._cap)).stabilized_at
 
-    def _admitted_exact_length(self, length: int) -> frozenset[str]:
-        return self._core._admitted_exact_length(length, keep=self.max_length)
+    # -- admitted ---------------------------------------------------------
 
     def admitted(self, length: int) -> list[Word]:
         """Sorted admitted words of the given length (<= internal cap)."""
@@ -245,23 +311,14 @@ class LanguageTable:
     def admitted_coded(self, length: int) -> frozenset[str]:
         if length > self._cap:
             raise MarginError(f"admitted length {length} exceeds computed cap {self._cap}")
-        return self._admitted_exact_length(length)
-
-    def is_admitted(self, word) -> bool:
-        coded = self.sub.encode(word)
-        if len(coded) > self._cap:
-            raise MarginError(f"word longer than computed cap {self._cap}")
-        return coded in self._admitted_exact_length(len(coded))
+        if self._core is None:
+            return self._words.admitted(length, self._cap)
+        return self._core._admitted_exact_length(length, keep=self.max_length)
 
     # -- legal ------------------------------------------------------------
 
     def _compute_legal(self):
         top = self.max_length
-        if self._primitive:
-            # admitted and legal coincide for primitive substitutions
-            for length in range(1, top + 1):
-                self._legal_cache[length] = self._admitted_exact_length(length)
-            return
         at_margin, above = self._core.vertices
         # legality-at-order shrinks as the order grows; keep the tighter set
         words = frozenset(v[:top] for v in above)
@@ -272,65 +329,25 @@ class LanguageTable:
 
     def legal(self, length: int) -> list[Word]:
         """Sorted legal words of the given length (<= max_length)."""
-        if self.empty_subshift:
-            return []
-        if length == 0:
+        if length == 0 and not self.empty_subshift:
             return [()]
-        if length > self.max_length:
-            raise MarginError(f"legal length {length} exceeds table bound {self.max_length}")
-        return sorted(self.sub.decode(w) for w in self._legal_cache[length])
+        return sorted(self.sub.decode(w) for w in self.legal_coded(length))
 
     def legal_coded(self, length: int) -> frozenset[str]:
         if self.empty_subshift:
             return frozenset()
         if length > self.max_length:
             raise MarginError(f"legal length {length} exceeds table bound {self.max_length}")
+        if self._primitive:
+            # admitted and legal coincide for primitive substitutions
+            return self.admitted_coded(length)
         return self._legal_cache[length]
 
     def is_legal(self, word) -> bool:
-        if self.empty_subshift:
-            return False
         coded = self.sub.encode(word)
-        if len(coded) == 0:
-            return True
-        if len(coded) > self.max_length:
-            raise MarginError(f"word longer than table bound {self.max_length}")
-        return coded in self._legal_cache[len(coded)]
-
-    def legal_letters(self) -> list[str]:
-        if self.empty_subshift:
-            return []
-        return sorted(self.sub.decode(w)[0] for w in self._legal_cache[1])
-
-    # -- Rauzy graphs -------------------------------------------------------
-
-    def rauzy(self, order: int):
-        """Vertices (admitted words of the order) and labelled edges
-        (admitted words one longer, as (prefix, suffix) pairs)."""
-        vertices = [self.sub.decode(w) for w in sorted(self._admitted_exact_length(order))]
-        edges = []
-        for word in sorted(self._admitted_exact_length(order + 1)):
-            edges.append((self.sub.decode(word[:-1]), self.sub.decode(word[1:])))
-        return vertices, edges
-
-    # -- serialisation ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        fmt = self.sub.format_word
-        admitted = {str(length): sorted(fmt(w) for w in self.admitted(length))
-                    for length in range(self.max_length + 1)}
-        legal = {str(length): sorted(fmt(w) for w in self.legal(length))
-                 for length in range(0 if not self.empty_subshift else 1,
-                                     self.max_length + 1)}
-        return {
-            "max_length": self.max_length,
-            "margin": self.margin,
-            "stabilized_at": self.stabilized_at,
-            "empty_subshift": self.empty_subshift,
-            "admitted": admitted,
-            "legal": legal,
-            "exact": self.legal_exact,
-        }
+        if not coded:
+            return not self.empty_subshift
+        return coded in self.legal_coded(len(coded))
 
 
 # the open session's tables and cores, keyed by class and arguments; None

@@ -21,6 +21,7 @@ from substdyn.primitivize import (ConjugateSubstitution, build_psi, build_theta,
                                   primitivize, return_words, verify_conjugacy)
 
 import test_properties
+from language_oracles import is_admitted
 from test_apcomplex import snf_probes_equal
 
 
@@ -57,7 +58,7 @@ def test_criterion_2_legality_regression():
     start = time.perf_counter()
     wild = corpus_get("wild_ab")
     table = LanguageTable(wild, 2)
-    assert table.is_admitted(("a", "b"))
+    assert is_admitted(table, ("a", "b"))
     assert not table.is_legal(("a", "b"))
     drop = corpus_get("legality_drop")
     word = drop.parse_word("0 0b")

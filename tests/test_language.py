@@ -4,14 +4,18 @@ import random
 import pytest
 
 from substdyn.apcomplex import inverse_limit_presentation
+from substdyn.classify import tameness_table_length
+from substdyn.cli import main
 from substdyn.core import Substitution, parse_substitution
 from substdyn.corpus import CORPUS, sigma_family
-from substdyn.errors import MarginError
+from substdyn.errors import MarginError, SubstdynError
 from substdyn import language
-from substdyn.language import (LanguageTable, periodic_point_search,
+from substdyn.language import (BASE_CAP, LanguageTable, periodic_point_search,
                                periodic_search_length, table_for)
+from substdyn.primitivize import primitivize
 
 from conftest import brute_admitted, random_substitution, reference_biinfinite_path_nodes
+from language_oracles import is_admitted, rauzy, to_json_dict
 
 
 def words(sub, items):
@@ -43,7 +47,7 @@ def test_legal_examples(wild_ab, fib):
     table = LanguageTable(wild_ab, 2)
     assert words(wild_ab, table.legal(1)) == ["b"]
     assert words(wild_ab, table.legal(2)) == ["bb"]
-    assert table.is_admitted(("a", "b")) and not table.is_legal(("a", "b"))
+    assert is_admitted(table, ("a", "b")) and not table.is_legal(("a", "b"))
     tf = LanguageTable(fib, 3)
     assert words(fib, tf.legal(3)) == ["001", "010", "100", "101"]
     assert words(fib, tf.legal(3)) == words(fib, tf.admitted(3))
@@ -77,7 +81,7 @@ def test_factoriality_and_biextendability(fib_handle):
 
 def test_rauzy_graph(fib):
     table = LanguageTable(fib, 3)
-    vertices, edges = table.rauzy(2)
+    vertices, edges = rauzy(table, 2)
     assert set(vertices) == set(table.admitted(2))
     for head, tail in edges:
         assert head in vertices and tail in vertices
@@ -118,7 +122,7 @@ def test_admissibility(fib, wild_ab):
 
 def test_json_dict(wild_ab):
     table = LanguageTable(wild_ab, 2)
-    data = table.to_json_dict()
+    data = to_json_dict(table)
     assert data["exact"] is True
     assert data["legal"]["2"] == ["bb"]
     assert data["admitted"]["2"] == ["ab", "bb"]
@@ -246,41 +250,166 @@ def test_table_for_shares_tables_only_inside_a_session(fib):
     assert table_for(fib, 6) is not table
 
 
-def _assert_same_table(table, fresh):
-    assert (table.margin, table.stabilized_at, table.empty_subshift, table.legal_exact) \
-        == (fresh.margin, fresh.stabilized_at, fresh.empty_subshift, fresh.legal_exact)
+def _table_view(table):
+    """Every figure of a table: its words at each admitted length it
+    serves (the cap sampled past max_length) and each legal length, read
+    before stabilized_at, which builds a primitive table's core at its cap;
+    then its margin, flags and stabilized_at."""
     cap = table._cap
-    for length in {*range(table.max_length + 2), cap // 2, cap - 1, cap}:
-        assert table.admitted_coded(length) == fresh.admitted_coded(length), length
-    for length in range(1, table.max_length + 1):
-        assert table.legal_coded(length) == fresh.legal_coded(length), length
+    admitted = {length: table.admitted_coded(length)
+                for length in sorted({*range(table.max_length + 2), cap // 2, cap - 1, cap})}
+    legal = {length: table.legal_coded(length) for length in range(1, table.max_length + 1)}
+    return (admitted, legal, table.margin, table.stabilized_at, table.empty_subshift,
+            table.legal_exact)
+
+
+def _assert_same_table(table, fresh):
+    assert _table_view(table) == _table_view(fresh)
 
 
 @pytest.mark.parametrize(
     "sub", [entry.substitution() for entry in CORPUS.values()] + _non_primitive_sample(20),
     ids=list(CORPUS) + [f"non_primitive_{i}" for i in range(20)])
 def test_tables_share_one_core_per_cap(sub, monkeypatch):
-    # the cap is margin + 2 for a non-primitive rule and max_length + 1 for
-    # a primitive one; tables of one cap compute its admitted words once
-    # and each equals a table built on its own
+    # a non-primitive table's cap is margin + 2, and tables of one cap
+    # compute its admitted words once.  A primitive table takes lengths up
+    # to BASE_CAP from the core at that cap, lifts longer ones, and builds
+    # its core at max_length + 1 for stabilized_at (or for a length the
+    # lift cannot bound); inside a session each of those cores and each
+    # derived length is computed once.  Every table equals one built on
+    # its own, outside the session.
     if sub.is_primitive():
-        keys = [(4, None), (4, 9), (4, 30)]
+        keys = [(4, None), (4, 9), (4, 30), (20, None), (20, 30), (12, None)]
     else:
         keys = [(2, 5), (5, 5), (4, 5), (1, None), (5, None), (3, None)]
-    computed = []
+    expected = [_table_view(LanguageTable(sub, max_length, margin))
+                for max_length, margin in keys]
+    computed, derived = [], []
     compute = language._LanguageCore._compute_admitted
+    derive = language._PrimitiveWords._derive
 
     def counting(self):
         computed.append(self._cap)
         return compute(self)
 
+    def counting_derive(self, length, cap):
+        derived.append(length)
+        return derive(self, length, cap)
+
     monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
+    monkeypatch.setattr(language._PrimitiveWords, "_derive", counting_derive)
     with language.session():
         tables = [table_for(sub, max_length, margin) for max_length, margin in keys]
-    assert sorted(computed) == sorted({table._cap for table in tables})
-    assert len(computed) < len(tables)
-    for table in tables:
-        _assert_same_table(table, LanguageTable(sub, table.max_length, table.margin))
+        assert [_table_view(table) for table in tables] == expected
+    assert len(computed) == len(set(computed))
+    if sub.is_primitive():
+        assert len(derived) == len(set(derived)) and max(derived) == 21
+        assert set(computed) == {BASE_CAP} | {table._cap for table in tables}
+    else:
+        assert derived == []
+        assert sorted(computed) == sorted({table._cap for table in tables})
+        assert len(computed) < len(tables)
+
+
+def _primitive_sample(count, seed=20261020):
+    """Distinct seeded primitive rules of 1-6 letters with image lengths 1-4."""
+    rng = random.Random(seed)
+    out = {}
+    while len(out) < count:
+        letters = "abcdef"[:rng.randint(1, 6)]
+        longest = rng.randint(1, 4)
+        rules = tuple((a, tuple(rng.choice(letters) for _ in range(rng.randint(1, longest))))
+                      for a in letters)
+        sub = Substitution(list(rules), alphabet=tuple(letters))
+        if sub.is_primitive():
+            out.setdefault(rules, sub)
+    return list(out.values())
+
+
+def _lift_cases():
+    cases = [(f"seeded_{i}", sub) for i, sub in enumerate(_primitive_sample(300))]
+    for name, entry in CORPUS.items():
+        sub = entry.substitution()
+        if sub.is_primitive():
+            cases.append((name, sub))
+        try:
+            cases.append((f"theta_{name}", primitivize(sub).theta))
+        except SubstdynError:
+            pass
+    cases.append(("fixed_letter", parse_substitution("a -> a\n")))
+    return cases
+
+
+LIFT_CASES = _lift_cases()
+
+
+def _lift_length(sub):
+    # the tameness table's length, past BASE_CAP so that every rule lifts,
+    # and at most the longest of the 8-letter benchmark rules
+    return min(max(tameness_table_length(sub), 2 * BASE_CAP), 48)
+
+
+@pytest.mark.parametrize("sub", [sub for _, sub in LIFT_CASES],
+                         ids=[name for name, _ in LIFT_CASES])
+def test_lifted_lengths_match_the_iteration(sub):
+    # a primitive table's words at every length it serves equal the
+    # iteration core's at cap L + 1, and so do its flags
+    top = _lift_length(sub)
+    reference = language._LanguageCore(sub, top + 1, True)
+    table = LanguageTable(sub, top)
+    for length in range(top + 2):
+        assert table.admitted_coded(length) == reference._admitted_exact_length(length), length
+    assert table.empty_subshift == reference.empty_subshift
+    assert table.stabilized_at == reference.stabilized_at
+
+
+def test_lift_cases_lift_and_fall_back(monkeypatch):
+    # the block bound lifts every length past BASE_CAP on most rules, and
+    # some (a -> a, and rules whose short images keep M_k <= k) fall back
+    # to the table's core
+    fallbacks = []
+    compute = language._LanguageCore._compute_admitted
+
+    def counting(self):
+        fallbacks.append(self._cap)
+        return compute(self)
+
+    monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
+    lifted = 0
+    for _, sub in LIFT_CASES:
+        fallbacks.clear()
+        table = LanguageTable(sub, _lift_length(sub))
+        for length in range(table._cap + 1):
+            table.admitted_coded(length)
+        lifted += fallbacks == [BASE_CAP]
+    assert lifted >= 300 and len(LIFT_CASES) - lifted >= 5
+
+
+def test_fixed_letter_admits_its_letter_alone():
+    sub = parse_substitution("a -> a\n")
+    table = LanguageTable(sub, 20)
+    assert table.admitted(1) == [("a",)] and table.admitted(2) == []
+    assert table.empty_subshift and table.legal(1) == [] and not table.is_legal(("a",))
+
+
+def test_cohomology_lifts_its_long_tables(tmp_path, capsys, monkeypatch):
+    # cohomology --radius 2 on an 8-letter primitive rule asks for tables of
+    # length 6 (the collar) and 48 (tameness, the periodic search); the core
+    # at BASE_CAP serves the first, and the lift the second
+    path = tmp_path / "k8.txt"
+    path.write_text("a -> fgg\nb -> ad\nc -> ech\nd -> dag\n"
+                    "e -> ahe\nf -> bce\ng -> ee\nh -> gb\n")
+    caps = []
+    compute = language._LanguageCore._compute_admitted
+
+    def counting(self):
+        caps.append(self._cap)
+        return compute(self)
+
+    monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
+    assert main(["cohomology", "--radius", "2", str(path)]) == 0
+    capsys.readouterr()
+    assert caps == [BASE_CAP]
 
 
 def test_tables_sharing_a_core_decide_exactness_at_their_own_length():
@@ -296,10 +425,10 @@ def test_tables_sharing_a_core_decide_exactness_at_their_own_length():
 
 def test_only_table_for_builds_tables():
     # every stage asks language.table_for, which alone decides reuse, and
-    # each table takes its core from the session in its constructor; both
-    # are built through language._once, so a LanguageTable(...) or
-    # _LanguageCore(...) call, or a core named outside language.py, would
-    # bypass the session
+    # each table takes its core (or its primitive rule's word store) from
+    # the session; all are built through language._once, so a
+    # LanguageTable(...), _LanguageCore(...) or _PrimitiveWords(...) call,
+    # or a core named outside language.py, would bypass the session
     import ast
     import pathlib
     import substdyn
@@ -312,7 +441,7 @@ def test_only_table_for_builds_tables():
                 func = node.func
                 name = (func.attr if isinstance(func, ast.Attribute)
                         else getattr(func, "id", None))
-                if name in ("LanguageTable", "_LanguageCore"):
+                if name in ("LanguageTable", "_LanguageCore", "_PrimitiveWords"):
                     offenders.append(f"{where} builds a {name}")
             if path.name != "language.py" and "_LanguageCore" in (
                     getattr(node, "id", None), getattr(node, "attr", None)):
@@ -421,17 +550,20 @@ def test_leading_windows_match_full_expansion(sub):
         table = LanguageTable(sub, max_length, margin=margin)
         cap = table._cap
         kept, stabilized_at = reference_kept_words(sub, cap)
-        assert table.stabilized_at == stabilized_at
-        assert table.admitted_coded(cap) == {w for w in kept if len(w) == cap}
-        short = [w for words in table._core._short.values() for w in words]
-        assert sorted(short) == sorted(w for w in kept if len(w) < cap)
         # every length walks down from the cap afresh past max_length, so
-        # long caps are sampled
+        # long caps are sampled; a primitive table derives each length
+        # before stabilized_at builds its core
         lengths = range(cap + 1) if cap <= 64 else \
             [*range(max_length + 2), cap // 2, cap - 1, cap]
         for length in lengths:
             expected = _factors(kept, length) if length else {""}
             assert table.admitted_coded(length) == expected, (max_length, length)
+        assert table.stabilized_at == stabilized_at
+        # a primitive table's core at its cap is held with its rule's words
+        core = table._words.core(cap) if sub.is_primitive() else table._core
+        assert core._admitted_exact_length(cap) == {w for w in kept if len(w) == cap}
+        short = [w for words in core._short.values() for w in words]
+        assert sorted(short) == sorted(w for w in kept if len(w) < cap)
         assert table.empty_subshift == (not _factors(kept, cap))
         if table.empty_subshift:
             assert all(not table.legal_coded(length)
