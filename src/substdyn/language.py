@@ -30,22 +30,20 @@ admitted word of length l is a prefix or suffix of an admitted word of
 length l + 1, or itself a short image, so admitted(l) is the prefixes and
 suffixes of admitted(l + 1) plus the short images of length l.
 
-A primitive rule derives each length on its first request instead, once
-per rule: up to BASE_CAP from the core at that cap, a longer length l by
-lifting through sigma.  Its language is extendable (sigma^N(b) holds every
-letter, so a factor of sigma^k(a) recurs, with context on both sides, in
-every long sigma^(k+N+j)(b)), so every admitted word of length < m is a
-prefix of one of length m.  So an admitted w of length l >= 2, a factor of
-sigma(u) starting inside sigma(u[i]), is a leading window (one starting in
-sigma(v[0])) of sigma(v) for an admitted v of length m extending or cutting
-u[i:], once every such v has |sigma(v)| >= |sigma(v[0])| + l - 1.  Blocks
-bound m: v[1:] holds floor((m - 1) / k) disjoint admitted k-blocks, each
-with an image of at least M_k letters (the least over admitted k-words), so
-m = 1 + k * ceil((l - 1) / M_k) will do, least over k <= BASE_CAP.  Where
-m >= l (M_k <= k for every k, as for a -> a and its empty subshift), the
-table's core at max_length + 1 serves, as it served every length before.
-Primitive factor complexity is linear (Cassaigne 1997), so the lifted sets
-stay small.
+A primitive rule instead derives each length on first request, once per
+rule: up to BASE_CAP from the core at that cap, a longer l by lifting
+through sigma.  Its language is extendable (sigma^N(b) holds every letter,
+so a factor of sigma^k(a) recurs with context on both sides), so every
+admitted word shorter than m is a prefix of one of length m.  So an
+admitted w of length l >= 2 is a window of sigma(v) starting in
+sigma(v[0]), for an admitted v of length m, once every such v has
+|sigma(v)| >= |sigma(v[0])| + l - 1.  Blocks bound m: v[1:] holds
+floor((m - 1) / k) disjoint admitted k-blocks, each with an image of at
+least M_k letters (least over admitted k-words), so
+m = 1 + k * ceil((l - 1) / M_k), least over k <= BASE_CAP, will do.  Where
+m >= l (M_k <= k for all k, as for a -> a), the table's core at
+max_length + 1 serves l.  Primitive factor complexity is linear (Cassaigne
+1997), so the lifted sets stay small.
 
 Legal words are factors of bi-infinite sequences of the subshift.  A word
 of length l is accepted when it lies on a bi-infinite path of the Rauzy
@@ -70,14 +68,15 @@ Every stage gets its table from ``table_for``, keyed by (substitution,
 max_length, resolved margin).  Inside ``session()``, which ``cli.main``
 opens around each command, each key is built once; outside one, every call
 builds afresh.  A non-primitive table only truncates its core to
-max_length: the admitted words up to the cap margin + 2 and the bi-infinite
-vertices at both margin orders do not depend on it, so a core is built once
-per (substitution, cap) likewise.  A primitive table's stabilized_at (read
-by analyze alone) comes from its core at max_length + 1, which once built
-serves the lengths not yet derived.  The store is a context variable
-dropped when the session closes, not an attribute of the substitution: a
-table refers to its rule, so a store on the rule forms a reference cycle
-that only the cyclic collector frees, and that doubled a corpus pass's peak
+max_length: the admitted words up to the cap margin + 2 and the
+bi-infinite vertices at both margin orders do not depend on it, so a core
+is built once per (substitution, cap) likewise, and a primitive rule's
+word store once per rule.  A primitive table builds its core at
+max_length + 1 only for stabilized_at (read by analyze alone) and for the
+lengths the lift cannot bound.  The store is a context variable dropped
+when the session closes, not an attribute of the substitution: a table
+refers to its rule, so a store on the rule forms a reference cycle that
+only the cyclic collector frees, and that doubled a corpus pass's peak
 RSS (39 to 82-87 MB).
 """
 
@@ -85,6 +84,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 
 from .core import Substitution, Word
 from .errors import MarginError
@@ -236,39 +236,38 @@ class _LanguageCore:
 
 
 class _PrimitiveWords:
-    """A primitive rule's admitted words by length, and its cores by cap."""
+    """A primitive rule's admitted words, each length derived once."""
 
     def __init__(self, sub: Substitution):
         self.sub = sub
         self._words: dict[int, frozenset[str]] = {}
-        self._cores: dict[int, _LanguageCore] = {}
+        self._base = _once(_LanguageCore, sub, BASE_CAP, True)
 
-    def core(self, cap: int) -> _LanguageCore:
-        if cap not in self._cores:
-            self._cores[cap] = _once(_LanguageCore, self.sub, cap, True)
-        return self._cores[cap]
-
-    def admitted(self, length: int, cap: int) -> frozenset[str]:
-        """The words of a length, for a table whose core is at ``cap``."""
+    def admitted(self, length: int, table: LanguageTable) -> frozenset[str]:
+        """The words of a length; ``table``'s core serves one the lift cannot bound."""
         if length not in self._words:
-            self._words[length] = self._derive(length, cap)
+            self._words[length] = self._derive(length, table)
         return self._words[length]
 
-    def _derive(self, length: int, cap: int) -> frozenset[str]:
+    @functools.cached_property
+    def _least(self) -> dict[int, int]:
+        # M_k; no admitted k-words (a -> a) give M_k = k, bounding nothing
+        apply, base = self.sub.apply_coded, self._base
+        return {k: min((len(apply(w)) for w in base._admitted_exact_length(k, keep=BASE_CAP)),
+                       default=k) for k in range(1, BASE_CAP + 1)}
+
+    def _derive(self, length: int, table: LanguageTable) -> frozenset[str]:
+        if length <= BASE_CAP:
+            return self._base._admitted_exact_length(length, keep=BASE_CAP)
         apply = self.sub.apply_coded
-        if cap not in self._cores and length > BASE_CAP:
-            # M_k; no admitted k-words (a -> a) give M_k = k, bounding nothing
-            least = {k: min((len(apply(w)) for w in self.admitted(k, cap)), default=k)
-                     for k in range(1, BASE_CAP + 1)}
-            m = min(1 + k * -(-(length - 1) // least[k]) for k in least)
-            if m < length:
-                words = set()
-                for v in self.admitted(m, cap):
-                    image = apply(v)
-                    words.update(image[i:i + length] for i in range(len(apply(v[0]))))
-                return frozenset(words)
-        core = self._cores.get(cap) or self.core(BASE_CAP if length <= BASE_CAP else cap)
-        return core._admitted_exact_length(length, keep=cap)
+        m = min(1 + k * -(-(length - 1) // least) for k, least in self._least.items())
+        if m >= length:
+            return table._core._admitted_exact_length(length, keep=table.max_length)
+        words = set()
+        for v in self.admitted(m, table):
+            image = apply(v)
+            words.update(image[i:i + length] for i in range(len(apply(v[0]))))
+        return frozenset(words)
 
 
 class LanguageTable:
@@ -287,20 +286,24 @@ class LanguageTable:
         self._legal_cache: dict[int, frozenset[str]] = {}
         self.legal_exact = True
         if self._primitive:
-            # words come from _PrimitiveWords; only a -> a keeps every
-            # image one letter long, and its subshift is empty
-            self._core = None
+            # only a -> a keeps every image one letter long, and its
+            # subshift is empty
             self._words = _once(_PrimitiveWords, sub)
             self.empty_subshift = sub.max_image_len == 1
             return
-        self._core = _once(_LanguageCore, sub, self._cap, False)
         self.empty_subshift = self._core.empty_subshift
         if not self.empty_subshift:
             self._compute_legal()
 
+    @functools.cached_property
+    def _core(self) -> _LanguageCore:
+        # a primitive table builds it only for stabilized_at and for the
+        # lengths the lift cannot bound
+        return _once(_LanguageCore, self.sub, self._cap, self._primitive)
+
     @property
     def stabilized_at(self) -> int:
-        return (self._core or self._words.core(self._cap)).stabilized_at
+        return self._core.stabilized_at
 
     # -- admitted ---------------------------------------------------------
 
@@ -311,8 +314,8 @@ class LanguageTable:
     def admitted_coded(self, length: int) -> frozenset[str]:
         if length > self._cap:
             raise MarginError(f"admitted length {length} exceeds computed cap {self._cap}")
-        if self._core is None:
-            return self._words.admitted(length, self._cap)
+        if self._primitive:
+            return self._words.admitted(length, self)
         return self._core._admitted_exact_length(length, keep=self.max_length)
 
     # -- legal ------------------------------------------------------------
@@ -323,14 +326,12 @@ class LanguageTable:
         # legality-at-order shrinks as the order grows; keep the tighter set
         words = frozenset(v[:top] for v in above)
         self.legal_exact = {v[:top] for v in at_margin} == words
-        for length in range(top, 0, -1):
+        for length in range(top, -1, -1):
             self._legal_cache[length] = words
             words = frozenset(w[:-1] for w in words)
 
     def legal(self, length: int) -> list[Word]:
         """Sorted legal words of the given length (<= max_length)."""
-        if length == 0 and not self.empty_subshift:
-            return [()]
         return sorted(self.sub.decode(w) for w in self.legal_coded(length))
 
     def legal_coded(self, length: int) -> frozenset[str]:
@@ -345,8 +346,6 @@ class LanguageTable:
 
     def is_legal(self, word) -> bool:
         coded = self.sub.encode(word)
-        if not coded:
-            return not self.empty_subshift
         return coded in self.legal_coded(len(coded))
 
 

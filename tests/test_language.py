@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -252,9 +253,8 @@ def test_table_for_shares_tables_only_inside_a_session(fib):
 
 def _table_view(table):
     """Every figure of a table: its words at each admitted length it
-    serves (the cap sampled past max_length) and each legal length, read
-    before stabilized_at, which builds a primitive table's core at its cap;
-    then its margin, flags and stabilized_at."""
+    serves (the cap sampled past max_length) and each legal length, its
+    margin, flags and stabilized_at."""
     cap = table._cap
     admitted = {length: table.admitted_coded(length)
                 for length in sorted({*range(table.max_length + 2), cap // 2, cap - 1, cap})}
@@ -292,9 +292,9 @@ def test_tables_share_one_core_per_cap(sub, monkeypatch):
         computed.append(self._cap)
         return compute(self)
 
-    def counting_derive(self, length, cap):
+    def counting_derive(self, length, table):
         derived.append(length)
-        return derive(self, length, cap)
+        return derive(self, length, table)
 
     monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
     monkeypatch.setattr(language._PrimitiveWords, "_derive", counting_derive)
@@ -311,7 +311,8 @@ def test_tables_share_one_core_per_cap(sub, monkeypatch):
         assert len(computed) < len(tables)
 
 
-def _primitive_sample(count, seed=20261020):
+@functools.lru_cache(maxsize=None)
+def _primitive_sample(count=300, seed=20261020):
     """Distinct seeded primitive rules of 1-6 letters with image lengths 1-4."""
     rng = random.Random(seed)
     out = {}
@@ -326,21 +327,9 @@ def _primitive_sample(count, seed=20261020):
     return list(out.values())
 
 
-def _lift_cases():
-    cases = [(f"seeded_{i}", sub) for i, sub in enumerate(_primitive_sample(300))]
-    for name, entry in CORPUS.items():
-        sub = entry.substitution()
-        if sub.is_primitive():
-            cases.append((name, sub))
-        try:
-            cases.append((f"theta_{name}", primitivize(sub).theta))
-        except SubstdynError:
-            pass
-    cases.append(("fixed_letter", parse_substitution("a -> a\n")))
-    return cases
-
-
-LIFT_CASES = _lift_cases()
+PRIMITIVE_ENTRIES = [name for name, entry in CORPUS.items()
+                     if entry.substitution().is_primitive()]
+FALLBACK_RULE = "a -> cdc\nb -> ceed\nc -> f\nd -> eae\ne -> d\nf -> b\n"
 
 
 def _lift_length(sub):
@@ -349,40 +338,69 @@ def _lift_length(sub):
     return min(max(tameness_table_length(sub), 2 * BASE_CAP), 48)
 
 
-@pytest.mark.parametrize("sub", [sub for _, sub in LIFT_CASES],
-                         ids=[name for name, _ in LIFT_CASES])
-def test_lifted_lengths_match_the_iteration(sub):
+def _assert_lift_matches_the_iteration(sub):
     # a primitive table's words at every length it serves equal the
     # iteration core's at cap L + 1, and so do its flags
     top = _lift_length(sub)
     reference = language._LanguageCore(sub, top + 1, True)
     table = LanguageTable(sub, top)
     for length in range(top + 2):
-        assert table.admitted_coded(length) == reference._admitted_exact_length(length), length
+        assert table.admitted_coded(length) == reference._admitted_exact_length(length), \
+            (sub.rules, length)
     assert table.empty_subshift == reference.empty_subshift
     assert table.stabilized_at == reference.stabilized_at
 
 
-def test_lift_cases_lift_and_fall_back(monkeypatch):
-    # the block bound lifts every length past BASE_CAP on most rules, and
-    # some (a -> a, and rules whose short images keep M_k <= k) fall back
-    # to the table's core
-    fallbacks = []
+@pytest.mark.parametrize("index", range(300), ids=lambda i: f"seeded_{i}")
+def test_lifted_lengths_match_the_iteration_on_seeded_rules(index):
+    _assert_lift_matches_the_iteration(_primitive_sample()[index])
+
+
+@pytest.mark.parametrize("name", PRIMITIVE_ENTRIES)
+def test_lifted_lengths_match_the_iteration_on_primitive_entries(name):
+    _assert_lift_matches_the_iteration(CORPUS[name].substitution())
+
+
+def test_lifted_lengths_match_the_iteration_on_corpus_thetas():
+    thetas = 0
+    for entry in CORPUS.values():
+        try:
+            theta = primitivize(entry.substitution()).theta
+        except SubstdynError:
+            continue
+        _assert_lift_matches_the_iteration(theta)
+        thetas += 1
+    assert thetas
+
+
+@pytest.mark.parametrize("text", ["a -> a\n", FALLBACK_RULE],
+                         ids=["fixed_letter", "short_images"])
+def test_lifted_lengths_match_the_iteration_where_the_lift_falls_back(text):
+    _assert_lift_matches_the_iteration(parse_substitution(text))
+
+
+@pytest.mark.parametrize("text, falls_back", [
+    ("a -> a\n", True), (FALLBACK_RULE, True), ("a -> ab\nb -> a\n", False),
+    ("a -> ab\nb -> ac\nc -> a\n", False)],
+    ids=["fixed_letter", "short_images", "fibonacci", "tribonacci"])
+def test_the_lift_falls_back_to_the_table_core(text, falls_back, monkeypatch):
+    # a -> a admits no word past length 1, so no block bounds m; the short
+    # images of FALLBACK_RULE keep M_k <= k up to k = 4, so the block bound
+    # gives no m below 11 for length 11.  Fibonacci and tribonacci lift
+    # every length past BASE_CAP.
+    sub = parse_substitution(text)
+    table = LanguageTable(sub, 30)
+    caps = []
     compute = language._LanguageCore._compute_admitted
 
     def counting(self):
-        fallbacks.append(self._cap)
+        caps.append(self._cap)
         return compute(self)
 
     monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
-    lifted = 0
-    for _, sub in LIFT_CASES:
-        fallbacks.clear()
-        table = LanguageTable(sub, _lift_length(sub))
-        for length in range(table._cap + 1):
-            table.admitted_coded(length)
-        lifted += fallbacks == [BASE_CAP]
-    assert lifted >= 300 and len(LIFT_CASES) - lifted >= 5
+    for length in range(table._cap + 1):
+        table.admitted_coded(length)
+    assert caps == ([table._cap] if falls_back else [])
 
 
 def test_fixed_letter_admits_its_letter_alone():
@@ -551,18 +569,15 @@ def test_leading_windows_match_full_expansion(sub):
         cap = table._cap
         kept, stabilized_at = reference_kept_words(sub, cap)
         # every length walks down from the cap afresh past max_length, so
-        # long caps are sampled; a primitive table derives each length
-        # before stabilized_at builds its core
+        # long caps are sampled
         lengths = range(cap + 1) if cap <= 64 else \
             [*range(max_length + 2), cap // 2, cap - 1, cap]
         for length in lengths:
             expected = _factors(kept, length) if length else {""}
             assert table.admitted_coded(length) == expected, (max_length, length)
         assert table.stabilized_at == stabilized_at
-        # a primitive table's core at its cap is held with its rule's words
-        core = table._words.core(cap) if sub.is_primitive() else table._core
-        assert core._admitted_exact_length(cap) == {w for w in kept if len(w) == cap}
-        short = [w for words in core._short.values() for w in words]
+        assert table._core._admitted_exact_length(cap) == {w for w in kept if len(w) == cap}
+        short = [w for words in table._core._short.values() for w in words]
         assert sorted(short) == sorted(w for w in kept if len(w) < cap)
         assert table.empty_subshift == (not _factors(kept, cap))
         if table.empty_subshift:
