@@ -80,7 +80,13 @@ class CanonicalizeContext:
     follows a whole chain to the next.  A pure cycle survives exactly when
     all its vertices are alive.  Each chain and cycle carries the union of
     its vertices' tokens, so one call tests and trims only the special
-    vertices, the chains and the cycles."""
+    vertices, the chains and the cycles, and only the special vertices
+    keep token sets of their own.  A chain's or a cycle's walk spells one
+    word: its first vertex, then the last letter of each later vertex, as
+    each vertex is its predecessor shifted by one letter.  Each walked
+    vertex is a factor of that word, and each window of the word lies in
+    one of them, as no window is longer than a vertex; so the union is the
+    word's windows, read in one pass along it."""
 
     def __init__(self, collared: CollaredSubstitution,
                  table: LanguageTable | None = None):
@@ -111,27 +117,26 @@ class CanonicalizeContext:
             return frozenset(out)
 
         self.edges = sorted(table.legal_coded(self.order + 1))
-        self.vertex_tokens = {v: tokens_of(v)
-                              for v in sorted(table.legal_coded(self.order))}
-        succ: dict[str, list[str]] = {v: [] for v in self.vertex_tokens}
-        in_degree = dict.fromkeys(self.vertex_tokens, 0)
+        vertices = sorted(table.legal_coded(self.order))
+        succ: dict[str, list[str]] = {v: [] for v in vertices}
+        in_degree = dict.fromkeys(vertices, 0)
         for e in self.edges:
             succ[e[:-1]].append(e[1:])
             in_degree[e[1:]] += 1
-        self.special = [v for v in self.vertex_tokens
-                        if len(succ[v]) != 1 or in_degree[v] != 1]
+        self.special = [v for v in vertices if len(succ[v]) != 1 or in_degree[v] != 1]
+        self.vertex_tokens = {v: tokens_of(v) for v in self.special}
         placed = set(self.special)
 
         def walk(v):
-            # the end and the tokens of the walk from v to a placed vertex;
-            # a vertex off the special ones has one predecessor, so no two
-            # walks share it
-            tokens = set()
+            # the end of the walk from v to a placed vertex, and the tokens
+            # of the word it spells; a vertex off the special ones has one
+            # predecessor, so no two walks share it
+            spelled = [] if v in placed else [v[:-1]]
             while v not in placed:
                 placed.add(v)
-                tokens.update(self.vertex_tokens[v])
+                spelled.append(v[-1])
                 v = succ[v][0]
-            return v, frozenset(tokens)
+            return v, tokens_of("".join(spelled))
 
         # (head, tail, tokens of the internal vertices) per chain
         self.chains: list[tuple[str, str, frozenset]] = []
@@ -139,7 +144,7 @@ class CanonicalizeContext:
             for v in succ[head]:
                 self.chains.append((head, *walk(v)))
         # the vertices no chain reached make up the pure cycles
-        self.cycles = [walk(v)[1] for v in self.vertex_tokens if v not in placed]
+        self.cycles = [walk(v)[1] for v in vertices if v not in placed]
 
     def canonicalize(self, edge_set: Subcomplex) -> Subcomplex:
         keep = frozenset(edge_set)

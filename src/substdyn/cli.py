@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or internal error, 2 empty subshift,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -477,6 +478,7 @@ def cmd_corpus(args):
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="substdyn",

@@ -58,14 +58,6 @@ class CollaredSubstitution:
                 pairs.append((left, right))
         return sorted(pairs)
 
-    def decollar_rules(self) -> Substitution:
-        """Forget all collars; recovers the base substitution on the letters
-        that carry collared versions."""
-        letters = sorted({cl.center for cl in self.letters.values()},
-                         key=self.base.letter_index)
-        rules = [(a, self.base.rules[a]) for a in letters]
-        return Substitution(rules, alphabet=tuple(letters))
-
 
 def _image_letters(sub: Substitution, letter: CollaredLetter, radius: int):
     """Collared letters of the induced image: the image of the center read

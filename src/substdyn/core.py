@@ -13,6 +13,7 @@ rule images must be written with whitespace between tokens
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import RuleParseError, SymbolError
@@ -140,27 +141,29 @@ class Substitution:
 
     def is_primitive(self) -> bool:
         """True iff some power of the substitution matrix is strictly
-        positive; boolean powering up to (k-1)^2 + 1 suffices."""
-        size = len(self.alphabet)
-        reach = [[bool(x) for x in row] for row in self.matrix()]
-        current = reach
-        bound = (size - 1) ** 2 + 1
-        step = 1
-        while step <= bound:
-            if all(all(row) for row in current):
-                return True
-            nxt = [[False] * size for _ in range(size)]
-            for i in range(size):
-                for k in range(size):
-                    if current[i][k]:
-                        for j in range(size):
-                            if reach[k][j]:
-                                nxt[i][j] = True
-            if nxt == current:
-                return all(all(row) for row in current)
-            current = nxt
-            step += 1
-        return all(all(row) for row in current)
+        positive: the letter graph (a -> each letter of sigma(a)) is strongly
+        connected and aperiodic, i.e. the gcd of level(a) + 1 - level(b)
+        over its edges a -> b, with levels from a breadth-first search, is 1."""
+        succ = {a: set(self.rules[a]) for a in self.alphabet}
+        pred = {a: set() for a in self.alphabet}
+        for a, targets in succ.items():
+            for b in targets:
+                pred[b].add(a)
+
+        def levels(edges):
+            level = dict.fromkeys(self.alphabet[:1], 0)
+            queue = list(level)
+            for a in queue:
+                for b in edges[a] - level.keys():
+                    level[b] = level[a] + 1
+                    queue.append(b)
+            return level
+
+        level = levels(succ)
+        if len(level) < len(self) or len(levels(pred)) < len(self):
+            return False
+        # the gcd of no edges is 0: the empty alphabet's matrix is vacuously positive
+        return math.gcd(*(level[a] + 1 - level[b] for a in succ for b in succ[a])) <= 1
 
     # -- formatting ---------------------------------------------------------
 
@@ -169,17 +172,6 @@ class Substitution:
         if self.single_char_tokens:
             return "".join(word)
         return " ".join(word)
-
-    def parse_word(self, text: str) -> Word:
-        tokens = text.split()
-        if len(tokens) > 1 or not self.single_char_tokens:
-            word = tuple(tokens)
-        else:
-            word = tuple(text.strip())
-        for symbol in word:
-            if symbol not in self._index:
-                raise SymbolError(f"letter {symbol!r} not in alphabet")
-        return word
 
     def to_text(self) -> str:
         lines = [f"{a} -> {self.format_word(self.rules[a])}" for a in self.alphabet]
@@ -240,11 +232,3 @@ class PointedWord:
     def __post_init__(self):
         if not 0 <= self.origin <= len(self.word):
             raise ValueError("origin out of range")
-
-    def display(self, sub: Substitution | None = None) -> str:
-        fmt = sub.format_word if sub is not None else lambda w: "".join(w) if all(
-            len(t) == 1 for t in w) else " ".join(w)
-        left = fmt(self.word[:self.origin])
-        right = fmt(self.word[self.origin:])
-        return f"{left}.{right}"
-

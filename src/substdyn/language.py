@@ -52,9 +52,10 @@ cycle).  The vertices on such paths are closed under the shift (a path
 through a vertex continues through its successor), so the accepted words
 of length l are exactly the length-l prefixes of those vertices.  This
 over-approximates legality and decreases to it as m grows, so the table is
-flagged exact only when two successive margin orders agree.  Agreement is
-tested at max_length alone: every shorter set is the prefixes of that one,
-so agreement there implies agreement below it.  Emptiness of the subshift,
+flagged exact only when two successive margin orders agree.  Only the
+max_length set is built with the table: every shorter set is the prefixes
+of that one, derived the first time its length is asked for, so agreement
+at max_length implies agreement below it.  Emptiness of the subshift,
 by contrast, is decided exactly: the subshift is empty iff admitted word
 lengths stay bounded.
 
@@ -113,9 +114,9 @@ def resolve_margin(sub: Substitution, max_length: int, margin: int | None = None
 class _LanguageCore:
     """What the tables of a rule at one cap share: the admitted words, and
     for a non-primitive rule the bi-infinite Rauzy vertices at cap - 2 and
-    cap - 1.  Every caller knows whether the rule is primitive."""
+    cap - 1."""
 
-    def __init__(self, sub: Substitution, cap: int, primitive: bool):
+    def __init__(self, sub: Substitution, cap: int):
         self.sub = sub
         self._cap = cap
         self._short: dict[int, list[str]] = {}
@@ -123,7 +124,7 @@ class _LanguageCore:
         self.stabilized_at = self._compute_admitted()
         self.empty_subshift = not self._admitted_cache[cap]
         self.vertices = None
-        if not self.empty_subshift and not primitive:
+        if not self.empty_subshift and not sub.is_primitive():
             self.vertices = (self._biinfinite_words(cap - 2),
                              self._biinfinite_words(cap - 1))
 
@@ -241,7 +242,7 @@ class _PrimitiveWords:
     def __init__(self, sub: Substitution):
         self.sub = sub
         self._words: dict[int, frozenset[str]] = {}
-        self._base = _once(_LanguageCore, sub, BASE_CAP, True)
+        self._base = _once(_LanguageCore, sub, BASE_CAP)
 
     def admitted(self, length: int, table: LanguageTable) -> frozenset[str]:
         """The words of a length; ``table``'s core serves one the lift cannot bound."""
@@ -299,7 +300,7 @@ class LanguageTable:
     def _core(self) -> _LanguageCore:
         # a primitive table builds it only for stabilized_at and for the
         # lengths the lift cannot bound
-        return _once(_LanguageCore, self.sub, self._cap, self._primitive)
+        return _once(_LanguageCore, self.sub, self._cap)
 
     @property
     def stabilized_at(self) -> int:
@@ -312,8 +313,8 @@ class LanguageTable:
         return sorted(self.sub.decode(w) for w in self.admitted_coded(length))
 
     def admitted_coded(self, length: int) -> frozenset[str]:
-        if length > self._cap:
-            raise MarginError(f"admitted length {length} exceeds computed cap {self._cap}")
+        if not 0 <= length <= self._cap:
+            raise MarginError(f"admitted length {length} outside 0..{self._cap}, the computed cap")
         if self._primitive:
             return self._words.admitted(length, self)
         return self._core._admitted_exact_length(length, keep=self.max_length)
@@ -326,9 +327,7 @@ class LanguageTable:
         # legality-at-order shrinks as the order grows; keep the tighter set
         words = frozenset(v[:top] for v in above)
         self.legal_exact = {v[:top] for v in at_margin} == words
-        for length in range(top, -1, -1):
-            self._legal_cache[length] = words
-            words = frozenset(w[:-1] for w in words)
+        self._legal_cache[top] = words
 
     def legal(self, length: int) -> list[Word]:
         """Sorted legal words of the given length (<= max_length)."""
@@ -337,11 +336,14 @@ class LanguageTable:
     def legal_coded(self, length: int) -> frozenset[str]:
         if self.empty_subshift:
             return frozenset()
-        if length > self.max_length:
-            raise MarginError(f"legal length {length} exceeds table bound {self.max_length}")
+        if not 0 <= length <= self.max_length:
+            raise MarginError(f"legal length {length} outside 0..{self.max_length}, the table bound")
         if self._primitive:
             # admitted and legal coincide for primitive substitutions
             return self.admitted_coded(length)
+        if length not in self._legal_cache:
+            top = self._legal_cache[self.max_length]
+            self._legal_cache[length] = frozenset(w[:length] for w in top)
         return self._legal_cache[length]
 
     def is_legal(self, word) -> bool:

@@ -1,10 +1,20 @@
 """Collar helpers that only the tests use, as oracles: forgetting collars
 down to a smaller radius, as a checked collared substitution and as a
-token map.
+token map, and forgetting them altogether.
 """
 
 from substdyn.collar import CollaredLetter, CollaredSubstitution, collar
+from substdyn.core import Substitution
 from substdyn.errors import PaddingError
+
+
+def decollar_rules(collared: CollaredSubstitution) -> Substitution:
+    """Forget all collars; recovers the base substitution on the letters
+    that carry collared versions."""
+    base = collared.base
+    letters = sorted({cl.center for cl in collared.letters.values()},
+                     key=base.letter_index)
+    return Substitution([(a, base.rules[a]) for a in letters], alphabet=tuple(letters))
 
 
 def forget(collared: CollaredSubstitution, target_radius: int) -> CollaredSubstitution:

@@ -5,7 +5,9 @@ expand rule images by hand and enumerate factors directly, so they can
 cross-check it.  The generators may use the library to select their inputs.
 """
 
+import functools
 import random
+import weakref
 
 import pytest
 
@@ -237,14 +239,83 @@ def reference_biinfinite_path_nodes(nodes, succ, pred):
     return downstream & upstream
 
 
+def _per_context(build):
+    """``build(context)``, computed once per live context."""
+    memo = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def cached(context):
+        if context not in memo:
+            memo[context] = build(context)
+        return memo[context]
+    return cached
+
+
+def reference_tokens_of(context, coded):
+    """Tokens of a coded window, by decoding the whole word and formatting
+    every (2n+1)-window (the construction before the window memo)."""
+    sub = context.collared.base
+    n = context.collared.radius
+    word = sub.decode(coded)
+    out = set()
+    for i in range(n, len(word) - n):
+        out.add(f"{word[i]}|" + sub.format_word(word[i - n:i + n + 1]).replace(" ", "."))
+    return frozenset(out)
+
+
+@_per_context
+def reference_vertex_tokens(context):
+    """Every Rauzy vertex of the context's table at its order, with its
+    ``reference_tokens_of``; the context itself keeps only the special
+    vertices' tokens."""
+    return {v: reference_tokens_of(context, v)
+            for v in sorted(context.table.legal_coded(context.order))}
+
+
+@_per_context
+def reference_reduced_graph(context):
+    """The reduced Rauzy graph rebuilt from the context's table: the special
+    vertices (in- or out-degree not 1), the chains as (head, tail, internal
+    vertices), and the vertex lists of the pure cycles."""
+    vertices = sorted(context.table.legal_coded(context.order))
+    succ = {v: [] for v in vertices}
+    pred = {v: [] for v in vertices}
+    for e in context.table.legal_coded(context.order + 1):
+        succ[e[:-1]].append(e[1:])
+        pred[e[1:]].append(e[:-1])
+    special = [v for v in vertices if len(succ[v]) != 1 or len(pred[v]) != 1]
+    ends = set(special)
+    seen = set(special)
+    chains = []
+    for head in special:
+        for v in succ[head]:
+            inside = []
+            while v not in ends:
+                inside.append(v)
+                v = succ[v][0]
+            seen.update(inside)
+            chains.append((head, v, inside))
+    cycles = []
+    for v in vertices:
+        cycle = []
+        while v not in seen:
+            seen.add(v)
+            cycle.append(v)
+            v = succ[v][0]
+        if cycle:
+            cycles.append(cycle)
+    return special, chains, cycles
+
+
 def reference_canonicalize(context, edge_set):
     """A context's canonicalization vertex by vertex on the whole Rauzy
-    graph: keep the vertices whose tokens lie inside the edge set and the
-    edges between them, trim with the cycle-closure construction, and
-    return the surviving vertices' tokens (the construction before the
+    graph: keep the vertices whose reference tokens lie inside the edge set
+    and the edges between them, trim with the cycle-closure construction,
+    and return the surviving vertices' tokens (the construction before the
     reduced graph)."""
     keep = frozenset(edge_set)
-    vertices = [v for v, tokens in context.vertex_tokens.items() if tokens <= keep]
+    tokens_of = reference_vertex_tokens(context)
+    vertices = [v for v, tokens in tokens_of.items() if tokens <= keep]
     alive = set(vertices)
     succ = {v: [] for v in vertices}
     pred = {v: [] for v in vertices}
@@ -256,7 +327,7 @@ def reference_canonicalize(context, edge_set):
     out = set()
     for v in reference_biinfinite_path_nodes(vertices, succ.__getitem__,
                                              pred.__getitem__):
-        out.update(context.vertex_tokens[v])
+        out.update(tokens_of[v])
     return frozenset(out)
 
 

@@ -1,7 +1,8 @@
 """Language-table helpers that only the tests use: membership of an admitted
-word, the Rauzy graph of an order, and a JSON view of a whole table.  Each
-reads the table through its public word sets, so it serves a primitive
-table (which derives lengths on demand) and a non-primitive one alike.
+word, the Rauzy graph of an order, a JSON view of a whole table, and the
+eager derivation of every legal length.  Each reads the table through its
+public word sets, so it serves a primitive table (which derives lengths on
+demand) and a non-primitive one alike.
 """
 
 from substdyn.language import LanguageTable
@@ -39,3 +40,15 @@ def to_json_dict(table: LanguageTable) -> dict:
         "legal": legal,
         "exact": table.legal_exact,
     }
+
+
+def eager_legal_sets(table: LanguageTable) -> dict[int, frozenset[str]]:
+    """The legal words of every length up to max_length as a non-primitive
+    table once built them all up front: the max_length set, then each
+    shorter level as the words of the level above less their last letter."""
+    words = table.legal_coded(table.max_length)
+    out = {}
+    for length in range(table.max_length, -1, -1):
+        out[length] = words
+        words = frozenset(w[:-1] for w in words)
+    return out

@@ -21,6 +21,7 @@ from substdyn.primitivize import (ConjugateSubstitution, build_psi, build_theta,
                                   primitivize, return_words, verify_conjugacy)
 
 import test_properties
+from core_oracles import parse_word
 from language_oracles import is_admitted
 from test_apcomplex import snf_probes_equal
 
@@ -61,7 +62,7 @@ def test_criterion_2_legality_regression():
     assert is_admitted(table, ("a", "b"))
     assert not table.is_legal(("a", "b"))
     drop = corpus_get("legality_drop")
-    word = drop.parse_word("0 0b")
+    word = parse_word(drop, "0 0b")
     assert LanguageTable(drop, 4).is_legal(word)
     assert not LanguageTable(drop.power(2), 4).is_legal(word)
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,8 @@ from substdyn.language import LanguageTable
 from cis_oracles import (brute_force_canonical_sets, cis_canonicalize, closure_additions,
                          eventual_range, limit_map_rank,
                          permutation_order_isomorphism_exists)
-from conftest import reference_canonicalize, reference_graph_h1, tame_lattices
+from conftest import (reference_canonicalize, reference_graph_h1, reference_reduced_graph,
+                      reference_tokens_of, reference_vertex_tokens, tame_lattices)
 from test_properties import SUBSTITUTIONS
 
 
@@ -281,30 +283,44 @@ def _tame_corpus():
     return out
 
 
-def reference_tokens_of(context, coded):
-    """Tokens of a coded window, by decoding the whole word and formatting
-    every (2n+1)-window (the construction before the window memo)."""
-    sub = context.collared.base
-    n = context.collared.radius
-    word = sub.decode(coded)
-    out = set()
-    for i in range(n, len(word) - n):
-        out.add(f"{word[i]}|" + sub.format_word(word[i - n:i + n + 1]).replace(" ", "."))
-    return frozenset(out)
-
-
 def test_context_tokens_match_reference():
+    # the special vertices keep their own tokens, and each chain and pure
+    # cycle carries the union of its vertices' tokens; all are checked
+    # against tokens formatted vertex by vertex from the table's vertices
     checked = 0
     for name, sub, report in _tame_corpus():
         for radius in (report.n_sigma, report.n_sigma + 1):
             context = CanonicalizeContext(collar(sub, radius))
-            for v, tokens in context.vertex_tokens.items():
-                assert tokens == reference_tokens_of(context, v), (name, radius, v)
+            tokens = reference_vertex_tokens(context)
+            special, chains, cycles = reference_reduced_graph(context)
+
+            def union(vertices):
+                return frozenset().union(*(tokens[v] for v in vertices))
+
+            assert context.special == special, (name, radius)
+            assert context.vertex_tokens == {v: tokens[v] for v in special}, (name, radius)
+            assert Counter(context.chains) == Counter(
+                (head, tail, union(inside)) for head, tail, inside in chains), (name, radius)
+            assert Counter(context.cycles) == Counter(map(union, cycles)), (name, radius)
             for e in context.edges:
-                tokens = context.vertex_tokens[e[:-1]] | context.vertex_tokens[e[1:]]
-                assert tokens == reference_tokens_of(context, e), (name, radius, e)
+                assert tokens[e[:-1]] | tokens[e[1:]] == reference_tokens_of(context, e), \
+                    (name, radius, e)
             checked += 1
     assert checked >= 40
+
+
+def test_context_keeps_tokens_of_special_vertices_only():
+    # canonicalize reads the tokens of the special vertices alone; sigma_5
+    # at its bounded-word radius keeps at most 8 of its 464 vertices'
+    checked = 0
+    for name, sub, report in _tame_corpus():
+        context = CanonicalizeContext(collar(sub, report.n_sigma))
+        assert list(context.vertex_tokens) == context.special, name
+        if name == "sigma_5":
+            assert len(context.table.legal_coded(context.order)) == 464
+            assert len(context.vertex_tokens) <= 8
+            checked += 1
+    assert checked == 1
 
 
 def test_context_reuses_only_the_table_it_would_build(fib_handle):
@@ -324,6 +340,7 @@ def test_context_reuses_only_the_table_it_would_build(fib_handle):
         assert CanonicalizeContext(collared).table is shared.table
     assert (shared.table.max_length, shared.table.margin) == (length, own.table.margin)
     assert shared.vertex_tokens == own.vertex_tokens and shared.edges == own.edges
+    assert (shared.chains, shared.cycles) == (own.chains, own.cycles)
 
 
 def _analyze_contexts(monkeypatch):
@@ -361,20 +378,27 @@ def _canonicalize_inputs(context, lattice, rng):
 
 
 def _shapes(context, keep):
-    """The reduced-graph shapes one canonicalization of ``keep`` exercises."""
-    alive = {v for v in context.special if context.vertex_tokens[v] <= keep}
-    live = [(head, tail) for head, tail, tokens in context.chains
-            if head in alive and tail in alive and tokens <= keep]
+    """The reduced-graph shapes one canonicalization of ``keep`` exercises,
+    read off the reference reduced graph and tokens."""
+    tokens = reference_vertex_tokens(context)
+    special, chains, cycles = reference_reduced_graph(context)
+
+    def inside(vertices):
+        return all(tokens[v] <= keep for v in vertices)
+
+    alive = {v for v in special if tokens[v] <= keep}
+    live = [(head, tail) for head, tail, internal in chains
+            if head in alive and tail in alive and inside(internal)]
+    live_cycle = any(inside(cycle) for cycle in cycles)
     shapes = set()
-    if any(tokens <= keep for tokens in context.cycles):
-        shapes.add("pure cycle beside special vertices" if context.special
+    if live_cycle:
+        shapes.add("pure cycle beside special vertices" if special
                    else "pure cycle alone")
     if any(head == tail for head, tail in live):
         shapes.add("self-loop chain")
     if len(set(live)) < len(live):
         shapes.add("parallel chains")
-    if context.vertex_tokens and not alive and \
-            not any(tokens <= keep for tokens in context.cycles):
+    if tokens and not alive and not live_cycle:
         shapes.add("empty vertex set")
     return shapes
 
@@ -410,7 +434,7 @@ def test_canonicalize_trims_only_special_vertices(monkeypatch):
     report = decide_tameness(sub)
     collared = collar(sub, report.n_sigma)
     context = CanonicalizeContext(collared)
-    assert (report.n_sigma, len(context.vertex_tokens)) == (6, 464)
+    assert (report.n_sigma, len(context.table.legal_coded(context.order))) == (6, 464)
     assert len(context.special) <= 8 and len(context.chains) <= 12
     trimmed = []
     trim = cis.biinfinite_path_nodes

@@ -63,6 +63,27 @@ def test_analyze_deterministic(capsys):
     assert first == second
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a second command in the same
+    # process keeps none of the first one's arguments, so it prints what a
+    # fresh process prints
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    import substdyn
+    from substdyn.cli import build_parser
+    assert build_parser() is build_parser()
+    run_cli(capsys, "analyze", "--max-length", "6", "corpus:sigma_3")
+    code, out, err = run_cli(capsys, "analyze", "corpus:sigma_3")
+    src = str(pathlib.Path(substdyn.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    fresh = subprocess.run([sys.executable, "-m", "substdyn.cli", "analyze", "corpus:sigma_3"],
+                           capture_output=True, text=True, env=env, check=False)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def test_primitivize_writes_files(tmp_path, capsys):
     code, out, err = run_cli(capsys, "primitivize", "corpus:sigma_3",
                              "--out-dir", str(tmp_path))

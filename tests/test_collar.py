@@ -5,7 +5,7 @@ from substdyn.core import parse_substitution
 from substdyn.errors import BorderForcingError, PaddingError
 from substdyn.language import LanguageTable
 
-from collar_oracles import forget, forgetful_map
+from collar_oracles import decollar_rules, forget, forgetful_map
 
 
 def test_fib_handle_legal_letters(fib_handle):
@@ -27,13 +27,13 @@ def test_chacon_collared_rules(chacon):
 
 def test_radius_zero_is_base(fib_handle):
     collared = collar(fib_handle, 0)
-    assert collared.decollar_rules() == fib_handle
+    assert decollar_rules(collared) == fib_handle
     assert forget(collared, 0) is collared
 
 
 def test_forget_round_trip(fib_handle, chacon):
     collared = collar(fib_handle, 1)
-    assert forget(collared, 0).decollar_rules() == fib_handle
+    assert decollar_rules(forget(collared, 0)) == fib_handle
     deep = collar(chacon, 2)
     assert set(forget(deep, 1).legal) == set(collar(chacon, 1).legal)
     mapping = forgetful_map(deep, 1)

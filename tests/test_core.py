@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+from substdyn import corpus
 from substdyn.core import PointedWord, Substitution, parse_substitution
-from substdyn.errors import RuleParseError, SymbolError
+from substdyn.errors import RuleParseError, SubstdynError, SymbolError
+from substdyn.primitivize import primitivize
 
 from conftest import brute_iterate
+from core_oracles import display, is_primitive_by_powering, parse_word
 
 
 def test_iterate_examples(fib):
@@ -41,6 +46,46 @@ def test_primitivity(fib, wild_ab):
     assert not wild_ab.is_primitive()
     swap = parse_substitution("a -> b\nb -> a\n")
     assert not swap.is_primitive()
+    assert Substitution({}).is_primitive() and is_primitive_by_powering(Substitution({}))
+
+
+def test_primitivity_matches_matrix_powering():
+    # the graph test (strongly connected, and the gcd of the BFS level
+    # differences along the edges is 1) against powering the matrix: the
+    # corpus, the psi and theta that primitivize derives from it, and
+    # seeded rules of 1-8 letters
+    subs = [corpus.get(name) for name in corpus.names()]
+    for sub in list(subs):
+        try:
+            result = primitivize(sub)
+        except SubstdynError:
+            continue
+        if result.conjugate is not None:
+            subs += [result.derived.psi, result.conjugate.theta]
+    rng = random.Random(20261019)
+    for _ in range(1500):
+        letters = [f"x{i}" for i in range(rng.randint(1, 8))]
+        subs.append(Substitution(
+            [(a, tuple(rng.choice(letters) for _ in range(rng.randint(1, 3))))
+             for a in letters], alphabet=tuple(letters)))
+    answers = [sub.is_primitive() for sub in subs]
+    assert answers == [is_primitive_by_powering(sub) for sub in subs]
+    assert sum(answers) >= 300 and answers.count(False) >= 300
+
+
+def test_primitivity_of_long_cycles():
+    # on 500 letters, a cycle through every letter closed by a second edge:
+    # back to the start it adds a cycle of length 499 beside the one of 500,
+    # gcd 1, primitive (Wielandt's rule, whose least positive power is
+    # 499^2 + 1); back to the third letter it adds one of 498, gcd 2, not
+    # primitive
+    size = 500
+    letters = [f"c{i}" for i in range(size)]
+    chain = [(letters[i], (letters[i + 1],)) for i in range(size - 1)]
+    wielandt = Substitution(chain + [(letters[-1], (letters[0], letters[1]))])
+    even = Substitution(chain + [(letters[-1], (letters[0], letters[2]))])
+    assert wielandt.is_primitive()
+    assert not even.is_primitive()
 
 
 def test_power(fib):
@@ -74,11 +119,12 @@ def test_symbol_errors(fib):
     with pytest.raises(SymbolError):
         fib.iterate("0x", 1)
     with pytest.raises(SymbolError):
-        fib.parse_word("02")
+        parse_word(fib, "02")
+    assert parse_word(fib, "0 1") == parse_word(fib, "01") == ("0", "1")
 
 
 def test_pointed_word_display(fib):
     pointed = PointedWord(("1", "0"), 1)
-    assert pointed.display(fib) == "1.0"
+    assert display(pointed, fib) == "1.0"
     with pytest.raises(ValueError):
         PointedWord(("1",), 2)

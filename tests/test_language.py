@@ -16,7 +16,8 @@ from substdyn.language import (BASE_CAP, LanguageTable, periodic_point_search,
 from substdyn.primitivize import primitivize
 
 from conftest import brute_admitted, random_substitution, reference_biinfinite_path_nodes
-from language_oracles import is_admitted, rauzy, to_json_dict
+from core_oracles import parse_word
+from language_oracles import eager_legal_sets, is_admitted, rauzy, to_json_dict
 
 
 def words(sub, items):
@@ -56,7 +57,7 @@ def test_legal_examples(wild_ab, fib):
 
 def test_legality_drops_under_squaring():
     sub = parse_substitution("0 -> 0b 0b 1 0b\n0b -> 0 0 1 0\n1 -> 1\nX -> 0 0b\n")
-    word = sub.parse_word("0 0b")
+    word = parse_word(sub, "0 0b")
     table = LanguageTable(sub, 4)
     assert table.is_legal(word)
     assert table.legal_exact
@@ -88,10 +89,16 @@ def test_rauzy_graph(fib):
         assert head in vertices and tail in vertices
 
 
-def test_length_guards(fib):
-    table = LanguageTable(fib, 3)
-    with pytest.raises(MarginError):
-        table.legal(10)
+def test_length_guards(fib, chacon):
+    # a primitive table and a non-primitive one, whose shorter legal
+    # lengths are prefixes of its top set, reject lengths out of range
+    for sub in (fib, chacon):
+        table = LanguageTable(sub, 3)
+        for length in (10, -1):
+            with pytest.raises(MarginError):
+                table.legal(length)
+        with pytest.raises(MarginError):
+            table.admitted(-1)
 
 
 def test_periodic_point_search(fib, wild_ab):
@@ -212,6 +219,42 @@ def test_derived_sets_match_slicing_reference(sub):
             assert {coded(w) for w in table.legal(length)} == legal[length], length
         assert table.legal_exact == exact
         assert table.stabilized_at == stabilized_at
+
+
+NON_PRIMITIVE_ENTRIES = [name for name, entry in CORPUS.items()
+                         if not entry.substitution().is_primitive()]
+
+
+@pytest.mark.parametrize(
+    "sub", [CORPUS[name].substitution() for name in NON_PRIMITIVE_ENTRIES]
+    + _non_primitive_sample(40),
+    ids=NON_PRIMITIVE_ENTRIES + [f"non_primitive_{i}" for i in range(40)])
+def test_lazy_legal_sets_match_the_eager_loop(sub):
+    # a non-primitive table derives each legal length from its max_length
+    # set on first request; asked in a seeded order, some lengths come
+    # before a longer one and some after, and every one equals the level
+    # the eager loop built, at the default margin and at margin 5
+    rng = random.Random(sub.to_text())
+    for max_length, margin in ((5, None), (5, 5), (9, None)):
+        eager = eager_legal_sets(LanguageTable(sub, max_length, margin=margin))
+        table = LanguageTable(sub, max_length, margin=margin)
+        lengths = list(range(max_length + 1))
+        rng.shuffle(lengths)
+        for length in lengths:
+            assert table.legal_coded(length) == eager[length], (max_length, margin, length)
+
+
+def test_a_fresh_non_primitive_table_keeps_only_its_top_legal_set():
+    checked = 0
+    for name in NON_PRIMITIVE_ENTRIES:
+        table = LanguageTable(CORPUS[name].substitution(), 6)
+        if table.empty_subshift:
+            continue
+        assert list(table._legal_cache) == [6], name
+        table.legal_coded(3)
+        assert sorted(table._legal_cache) == [3, 6], name
+        checked += 1
+    assert checked >= 15
 
 
 def test_large_margin_walks_down_iteratively(wild_ab):
@@ -342,7 +385,7 @@ def _assert_lift_matches_the_iteration(sub):
     # a primitive table's words at every length it serves equal the
     # iteration core's at cap L + 1, and so do its flags
     top = _lift_length(sub)
-    reference = language._LanguageCore(sub, top + 1, True)
+    reference = language._LanguageCore(sub, top + 1)
     table = LanguageTable(sub, top)
     for length in range(top + 2):
         assert table.admitted_coded(length) == reference._admitted_exact_length(length), \
