@@ -312,11 +312,10 @@ class InverseLimitPresentation:
     h1: H1Presentation
     forcing_level: int
     n_sigma: int
-    recognisable: str  # "evidenced" | "assumed" | "unknown"
+    recognisable: str  # "evidenced" | "unknown"
 
 
 def inverse_limit_presentation(sub: Substitution, radius: int | None = None,
-                               assume_recognisable: bool = False,
                                max_letters: int | None = None) -> InverseLimitPresentation:
     """The tiling space as an inverse limit: the collared complex at the
     bounded-word radius, its cellular self-map, and the border-forcing
@@ -333,23 +332,19 @@ def inverse_limit_presentation(sub: Substitution, radius: int | None = None,
     complex_ = build_complex(collared)
     cell_map = induced_map(collared, complex_)
     h1 = h1_presentation(complex_, cell_map)
-    level = border_forcing_level(collared, n_sigma=n_sigma) if radius >= n_sigma else 0
-    if assume_recognisable:
-        status = "assumed"
-    else:
-        period_bound = min(6, 2 + sub.max_image_len)
-        hits = periodic_point_search(sub, period_bound)
-        status = "evidenced" if not hits else "unknown"
+    level = border_forcing_level(collared) if radius >= n_sigma else 0
+    period_bound = min(6, 2 + sub.max_image_len)
+    hits = periodic_point_search(sub, period_bound)
+    status = "evidenced" if not hits else "unknown"
     return InverseLimitPresentation(collared, complex_, cell_map, h1,
                                     level, n_sigma, status)
 
 
-def complex_to_dot(complex_: APComplex, highlights: dict[str, str] | None = None,
-                   title: str = "ap_complex") -> str:
+def complex_to_dot(complex_: APComplex, highlights: dict[str, str] | None = None) -> str:
     """DOT rendering: vertices by label, edges labelled by collared letter,
     optional per-edge colours (e.g. subcomplex membership)."""
     graph = complex_.graph
-    lines = [f'digraph "{title}" {{', "  rankdir=LR;"]
+    lines = ['digraph "ap_complex" {', "  rankdir=LR;"]
     for i, label in enumerate(graph.vertex_labels):
         lines.append(f'  v{i} [label="{label}"];')
     for e in graph.edges:

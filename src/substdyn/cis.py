@@ -35,14 +35,16 @@ from dataclasses import dataclass, field
 from . import intlin
 from .apcomplex import (APComplex, H1Presentation, Multigraph, build_complex,
                         graph_h1)
-from .classify import TamenessReport, decide_tameness
-from .collar import CollaredSubstitution
+from .classify import decide_tameness
+from .collar import CollaredSubstitution, check_budget, collar
 from .core import Substitution
 from .errors import SubstdynError, SymbolError, WildInputError
 from .graphs import biinfinite_path_nodes
-from .language import LanguageTable, default_margin, table_for
+from .language import LanguageTable, _once, default_margin, table_for
 
 Subcomplex = frozenset
+
+MAX_LATTICE_NODES = 512  # enumerate_cis raises past this many canonical sets
 
 
 class CanonicalizeContext:
@@ -297,11 +299,10 @@ def _restricted_paths(collared, edges, power):
 
 
 def enumerate_cis(collared: CollaredSubstitution,
-                  tameness: TamenessReport | None = None,
-                  max_nodes: int = 512,
                   context: CanonicalizeContext | None = None) -> CISLattice:
     """The full lattice of canonical subcomplexes, with per-node direct-limit
-    presentations and quotient data.
+    presentations and quotient data, for a rule the session's
+    ``decide_tameness`` finds tame.
 
     The deletion closure needs no second pass under joins and meets.  A
     union of canonical sets is canonical: monotonicity puts each set inside
@@ -309,9 +310,7 @@ def enumerate_cis(collared: CollaredSubstitution,
     canonicalize(a & b) is canonical by idempotence.  Both lie below the
     top, and the deletion closure holds every canonical set below the top,
     so it already holds both."""
-    base = collared.base
-    if tameness is None:
-        tameness = decide_tameness(base)
+    tameness = decide_tameness(collared.base)
     if not tameness.tame:
         raise WildInputError("invariant-subspace enumeration requires a tame substitution")
     warnings = []
@@ -340,8 +339,8 @@ def enumerate_cis(collared: CollaredSubstitution,
         for e in sorted(current):
             candidate = context.canonicalize(current - {e})
             if candidate not in family:
-                if len(family) >= max_nodes:
-                    raise SubstdynError(f"lattice exceeded {max_nodes} nodes")
+                if len(family) >= MAX_LATTICE_NODES:
+                    raise SubstdynError(f"lattice exceeded {MAX_LATTICE_NODES} nodes")
                 family.add(candidate)
                 stack.append(candidate)
     members = sorted(family, key=lambda k: (-len(k), tuple(sorted(k))))
@@ -395,6 +394,20 @@ def enumerate_cis(collared: CollaredSubstitution,
                       inclusion_arrows=inclusion_arrows,
                       quotient_arrows=quotient_arrows,
                       exact=context.exact, warnings=warnings)
+
+
+def lattice_for(sub: Substitution, radius: int,
+                max_letters: int | None = None) -> CISLattice:
+    """``enumerate_cis(collar(sub, radius, max_letters=max_letters))``, built
+    once per (sub, radius) inside ``language.session()``.  A shared lattice
+    over the budget raises the EdgeBudgetError ``collar`` would."""
+    lattice = _once(_lattice, sub, radius, max_letters=max_letters)
+    check_budget(len(lattice.collared.sub.alphabet), max_letters)
+    return lattice
+
+
+def _lattice(sub: Substitution, radius: int, max_letters: int | None) -> CISLattice:
+    return enumerate_cis(collar(sub, radius, max_letters=max_letters))
 
 
 def _limit_data(h1: H1Presentation | None, graph: Multigraph):
@@ -548,8 +561,8 @@ def diagram_compare(first: CISLattice, second: CISLattice) -> DiagramComparison:
                              "bijection matches them")
 
 
-def lattice_to_dot(lattice: CISLattice, title: str = "cis_lattice") -> str:
-    lines = [f'digraph "{title}" {{', "  rankdir=BT;"]
+def lattice_to_dot(lattice: CISLattice) -> str:
+    lines = ['digraph "cis_lattice" {', "  rankdir=BT;"]
     for node in lattice.nodes:
         label = f"{node.name}\\nE={len(node.edges)} H1={node.h1_rank}"
         lines.append(f'  "{node.name}" [label="{label}", shape=box];')

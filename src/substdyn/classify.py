@@ -12,18 +12,14 @@ whose image ends (starts) in a bounded letter lies on an r-cycle (l-cycle).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from .core import PointedWord, Substitution, Word
 from .errors import (EmptySubshiftError, MarginError, SubstdynError,
                      WildInputError, WitnessError)
 from .graphs import cyclic_nodes, forward_closure
-from .language import (LanguageTable, periodic_orbit_escape,
+from .language import (LanguageTable, _once, periodic_orbit_escape,
                        periodic_point_search, table_for)
-
-if TYPE_CHECKING:
-    from .cis import CISLattice
 
 
 @dataclass(frozen=True)
@@ -105,11 +101,21 @@ class TamenessReport:
 
 
 def tameness_table_length(sub: Substitution) -> int:
-    """Table bound ``decide_tameness`` asks ``table_for`` for when given no table."""
+    """Table bound ``decide_tameness`` asks ``table_for`` for."""
     return max(4, 2 * sub.max_image_len * len(sub.alphabet))
 
 
-def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> TamenessReport:
+def minimality_table_length(sub: Substitution) -> int:
+    """Default table bound of ``is_minimal`` and of ``analyze --max-length``."""
+    return max(8, 2 * sub.max_image_len * len(sub.alphabet))
+
+
+def decide_tameness(sub: Substitution) -> TamenessReport:
+    """Tameness of ``sub``, decided once per rule inside ``language.session()``."""
+    return _once(_decide_tameness, sub)
+
+
+def _decide_tameness(sub: Substitution) -> TamenessReport:
     classification = classify_letters(sub)
     if not classification.expanding:
         # image lengths stay bounded, so the subshift is empty
@@ -127,8 +133,7 @@ def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> Ta
             witness = WildWitness(letter, side, cycles[letter], word)
             return TamenessReport("wild", classification, witness=witness)
     # tame: collect every bounded legal word
-    if table is None:
-        table = table_for(sub, tameness_table_length(sub))
+    table = table_for(sub, tameness_table_length(sub))
     bounded_words: list[Word] = [()]
     length = 1
     while True:
@@ -146,11 +151,10 @@ def decide_tameness(sub: Substitution, table: LanguageTable | None = None) -> Ta
                           n_sigma=length, exact=table.legal_exact)
 
 
-def wild_periodic_word(sub: Substitution, witness: WildWitness,
-                       verify: bool = True) -> Word:
+def wild_periodic_word(sub: Substitution, witness: WildWitness) -> Word:
     """The bounded periodic word built from a wildness witness: iterate the
     bounded tail (head) of sigma^N(c) until the iterates cycle and
-    concatenate one full cycle."""
+    concatenate one full cycle, checked by the periodic-point search."""
     classification = classify_letters(sub)
     c = witness.letter
     if c not in classification.expanding:
@@ -194,10 +198,9 @@ def wild_periodic_word(sub: Substitution, witness: WildWitness,
             word = tuple(itertools.chain.from_iterable(cycle))
         else:
             word = tuple(itertools.chain.from_iterable(reversed(cycle)))
-    if verify:
-        hits = periodic_point_search(sub, len(word))
-        if not any(_is_rotation_power(hit, word) for hit in hits):
-            raise WitnessError(f"constructed word {word!r} failed the periodic check")
+    hits = periodic_point_search(sub, len(word))
+    if not any(_is_rotation_power(hit, word) for hit in hits):
+        raise WitnessError(f"constructed word {word!r} failed the periodic check")
     return word
 
 
@@ -259,7 +262,7 @@ def _seed_step(sub, classification, pointed: PointedWord) -> PointedWord:
     return PointedWord(new_word, new_origin)
 
 
-def find_seed(sub: Substitution, report: TamenessReport | None = None) -> SeedResult:
+def find_seed(sub: Substitution) -> SeedResult:
     """A pointed word fixed by a power of the image-frontier map, a legal
     expanding seed letter b, and the least multiple N of the period with two
     occurrences of b in sigma^N(b).
@@ -268,8 +271,7 @@ def find_seed(sub: Substitution, report: TamenessReport | None = None) -> SeedRe
     bounded interior, expanding letter; that shape is checked on the coded
     words, so only the words that have it are decoded, and the doubling
     search counts b in coded iterates."""
-    if report is None:
-        report = decide_tameness(sub)
+    report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("cannot seed an empty subshift")
     if not report.tame:
@@ -329,10 +331,6 @@ class MinimalityResult:
     witness: tuple[Word, Word] | None = None
     reason: str = ""
     bound: int | None = None
-    # the invariant-subspace lattice the negative oracle enumerated, at
-    # radius n_sigma under the default collar budget, for callers that
-    # would otherwise collar and enumerate the same lattice again
-    lattice: CISLattice | None = field(default=None, compare=False, repr=False)
 
 
 def _contains(word: Word, factor: Word) -> bool:
@@ -342,12 +340,12 @@ def _contains(word: Word, factor: Word) -> bool:
                for i in range(len(word) - len(factor) + 1))
 
 
-def _recurrence_constant(table: LanguageTable, c_bound: int) -> int | None:
-    """Least C <= c_bound such that every legal word longer than C|u|
+def _recurrence_constant(table: LanguageTable) -> int | None:
+    """Least C <= 8 such that every legal word longer than C|u|
     contains every legal u, checked to the table bound; requires at least
     two scales to have been testable."""
     max_len = table.max_length
-    for constant in range(1, c_bound + 1):
+    for constant in range(1, 9):
         scales = 0
         ok = True
         for ulen in range(1, max_len + 1):
@@ -367,23 +365,17 @@ def _recurrence_constant(table: LanguageTable, c_bound: int) -> int | None:
     return None
 
 
-def is_minimal(sub: Substitution, c_bound: int = 8,
-               table: LanguageTable | None = None,
-               use_cis: bool = True,
-               report: TamenessReport | None = None) -> MinimalityResult:
+def is_minimal(sub: Substitution, table: LanguageTable | None = None,
+               use_cis: bool = True) -> MinimalityResult:
     """Semi-decision of minimality.  Primitive substitutions are minimal;
     wild ones are minimal iff the subshift is a single periodic orbit; tame
-    non-primitive ones are probed by a linear-recurrence search, with the
+    non-primitive ones are probed by a linear-recurrence search on
+    ``table`` (``minimality_table_length`` by default), with the
     invariant-subspace lattice as the certifying negative oracle.
 
-    When that oracle ran, the result carries its lattice (``lattice``),
-    enumerated on ``collar(sub, report.n_sigma)`` with the default letter
-    budget; a caller may reuse it where it would build that lattice.
-
-    ``report``, when given, must be ``decide_tameness(sub, table)``; it
-    saves deciding tameness again."""
-    if report is None:
-        report = decide_tameness(sub, table)
+    Tameness is ``decide_tameness(sub)`` whatever ``table`` is, and the
+    oracle's lattice ``cis.lattice_for(sub, n_sigma)``, both session-wide."""
+    report = decide_tameness(sub)
     if report.empty_subshift:
         return MinimalityResult("no", reason="empty subshift")
     if sub.is_primitive():
@@ -396,8 +388,8 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
         return MinimalityResult("no", witness=(outside, (word * length)[:length]),
                                 reason="wild with a sequence outside the periodic orbit")
     if table is None:
-        table = table_for(sub, max(8, 2 * sub.max_image_len * len(sub.alphabet)))
-    constant = _recurrence_constant(table, c_bound)
+        table = table_for(sub, minimality_table_length(sub))
+    constant = _recurrence_constant(table)
     if constant is not None:
         if table.legal_exact:
             return MinimalityResult("yes", constant=constant,
@@ -407,11 +399,9 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
                                 reason="recurrence holds but legality not stabilised",
                                 bound=table.max_length)
     if use_cis:
-        from .collar import collar
-        from .cis import enumerate_cis
+        from .cis import lattice_for
         try:
-            collared = collar(sub, report.n_sigma)
-            lattice = enumerate_cis(collared, tameness=report)
+            lattice = lattice_for(sub, report.n_sigma)
         except SubstdynError:
             return MinimalityResult("unknown", reason="recurrence failed; lattice unavailable",
                                     bound=table.max_length)
@@ -420,14 +410,13 @@ def is_minimal(sub: Substitution, c_bound: int = 8,
             small = min(nonempty, key=lambda node: len(node.edges))
             big = max(nonempty, key=lambda node: len(node.edges))
             outside_edges = sorted(big.edges - small.edges)
-            u = collared.letters[outside_edges[0]].context
+            u = lattice.collared.letters[outside_edges[0]].context
             v = next((w for w in table.legal(table.max_length)
                       if not _contains(w, u)), None)
             witness = (u, v) if v is not None else None
             return MinimalityResult("no", witness=witness,
-                                    reason="two distinct nonempty closed invariant subspaces",
-                                    lattice=lattice)
+                                    reason="two distinct nonempty closed invariant subspaces")
         return MinimalityResult("unknown", reason="recurrence inconclusive; lattice trivial",
-                                bound=table.max_length, lattice=lattice)
+                                bound=table.max_length)
     return MinimalityResult("unknown", reason="recurrence inconclusive",
                             bound=table.max_length)

@@ -19,9 +19,10 @@ import sys
 from . import corpus as corpus_mod
 from .apcomplex import (build_complex, complex_to_dot, induced_map,
                         h1_presentation, inverse_limit_presentation)
-from .cis import diagram_compare, enumerate_cis, extend_substitution, lattice_to_dot
-from .classify import decide_tameness, is_minimal, tameness_table_length
-from .collar import border_forcing_level, collar, over_budget
+from .cis import (diagram_compare, enumerate_cis, extend_substitution, lattice_for,
+                  lattice_to_dot)
+from .classify import decide_tameness, is_minimal, minimality_table_length
+from .collar import border_forcing_level, collar
 from .core import Substitution, load_substitution, parse_substitution
 from .errors import (EdgeBudgetError, EmptySubshiftError, NonClosureError,
                      RuleParseError, SubstdynError, WildInputError)
@@ -183,7 +184,7 @@ def cmd_classify(args):
 
 def cmd_analyze(args):
     sub = _load(args.file)
-    max_length = args.max_length or max(8, 2 * sub.max_image_len * len(sub.alphabet))
+    max_length = args.max_length or minimality_table_length(sub)
     table = table_for(sub, max_length, margin=args.margin)
     report = decide_tameness(sub)
     out = {
@@ -204,10 +205,7 @@ def cmd_analyze(args):
     if report.empty_subshift:
         _emit(out)
         return 2
-    # a wild verdict reads no table, and a tame one was decided on this
-    # table only when it is the tameness table
-    shared = not report.tame or table is table_for(sub, tameness_table_length(sub))
-    minimality = is_minimal(sub, table=table, report=report if shared else None)
+    minimality = is_minimal(sub, table=table)
     out["minimality"] = {
         "verdict": minimality.verdict,
         "constant": minimality.constant,
@@ -219,42 +217,27 @@ def cmd_analyze(args):
             return 3
         out["warnings"].append("wild input: collaring stages skipped")
         try:
-            out["primitivization"] = _primitivization_dict(
-                sub, primitivize(sub, report=report))
+            out["primitivization"] = _primitivization_dict(sub, primitivize(sub))
         except SubstdynError as exc:
             out["warnings"].append(f"primitivization: {exc}")
         _emit(out)
         return 0
     if minimality.verdict != "no":
         try:
-            out["primitivization"] = _primitivization_dict(
-                sub, primitivize(sub, report=report))
+            out["primitivization"] = _primitivization_dict(sub, primitivize(sub))
         except (NonClosureError, SubstdynError) as exc:
             out["warnings"].append(f"primitivization: {exc}")
     radius = report.n_sigma if args.radius is None else args.radius
-    max_edges = _max_edges(args)
-    # the minimality oracle's lattice is this one when it was collared at
-    # this radius and fits this budget
-    lattice = minimality.lattice
-    if lattice is not None and (
-            radius != report.n_sigma or lattice.collared.radius != radius
-            or over_budget(len(lattice.collared.sub.alphabet), max_edges)):
-        lattice = None
-    if lattice is None:
-        try:
-            collared = collar(sub, radius, max_letters=max_edges)
-        except EdgeBudgetError as exc:
-            out["warnings"].append(str(exc))
-            _emit(out)
-            return 4
-        complex_ = build_complex(collared)
-    else:
-        collared, complex_ = lattice.collared, lattice.complex
+    try:
+        lattice = lattice_for(sub, radius, max_letters=_max_edges(args))
+    except EdgeBudgetError as exc:
+        out["warnings"].append(str(exc))
+        _emit(out)
+        return 4
+    collared, complex_ = lattice.collared, lattice.complex
     cell_map = induced_map(collared, complex_)
     h1 = h1_presentation(complex_, cell_map)
-    forcing = None
-    if radius >= report.n_sigma:
-        forcing = border_forcing_level(collared, n_sigma=report.n_sigma)
+    forcing = border_forcing_level(collared) if radius >= report.n_sigma else None
     out["complex"] = {
         "radius": radius,
         "edges": len(complex_.edges),
@@ -263,8 +246,6 @@ def cmd_analyze(args):
         "h1": _h1_dict(h1),
         "forcing_level": forcing,
     }
-    if lattice is None:
-        lattice = enumerate_cis(collared, tameness=report)
     out["cis"] = _lattice_dict(lattice)
     _emit(out)
     return 0
@@ -272,11 +253,10 @@ def cmd_analyze(args):
 
 def cmd_primitivize(args):
     sub = _load(args.file)
-    report = decide_tameness(sub)
-    if report.empty_subshift:
+    if decide_tameness(sub).empty_subshift:
         print("error: empty subshift", file=sys.stderr)
         return 2
-    result = primitivize(sub, depth=args.verify_depth, report=report)
+    result = primitivize(sub, depth=args.verify_depth)
     out_dir = args.out_dir or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -309,20 +289,20 @@ def cmd_primitivize(args):
     return 0
 
 
-def _tame_collared(args, sub):
+def _tame_radius(args, sub):
+    """The radius a tame-only command collars at: ``--radius``, else n_sigma."""
     report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("empty subshift")
     if not report.tame:
         raise WildInputError("wild input")
-    radius = report.n_sigma if args.radius is None else args.radius
-    return report, collar(sub, radius, max_letters=_max_edges(args))
+    return report.n_sigma if args.radius is None else args.radius
 
 
 def cmd_complex(args):
     sub = _load(args.file)
     try:
-        report, collared = _tame_collared(args, sub)
+        collared = collar(sub, _tame_radius(args, sub), max_letters=_max_edges(args))
     except EmptySubshiftError:
         print("error: empty subshift", file=sys.stderr)
         return 2
@@ -344,7 +324,7 @@ def cmd_complex(args):
         highlights = {}
         if args.color_cis:
             palette = ["blue", "red", "darkgreen", "orange", "purple", "brown"]
-            lattice = enumerate_cis(collared, tameness=report)
+            lattice = enumerate_cis(collared)
             proper = [n for n in lattice.nodes if n.edges and n.name != "omega"]
             for i, node in enumerate(sorted(proper, key=lambda n: len(n.edges))):
                 for e in sorted(node.edges):
@@ -382,7 +362,7 @@ def cmd_cohomology(args):
 def cmd_cis(args):
     sub = _load(args.file)
     try:
-        report, collared = _tame_collared(args, sub)
+        radius = _tame_radius(args, sub)
     except EmptySubshiftError:
         print("error: empty subshift", file=sys.stderr)
         return 2
@@ -390,7 +370,7 @@ def cmd_cis(args):
         print("error: wild input; invariant subspaces need a tame substitution",
               file=sys.stderr)
         return 3
-    lattice = enumerate_cis(collared, tameness=report)
+    lattice = lattice_for(sub, radius, max_letters=_max_edges(args))
     _emit(_lattice_dict(lattice))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -439,9 +419,7 @@ def cmd_compare(args):
             print(f"error: {path}: wild input", file=sys.stderr)
             return 3
         radius = report.n_sigma if args.radius is None else args.radius
-        lattices.append(enumerate_cis(collar(sub, radius,
-                                             max_letters=_max_edges(args)),
-                                      tameness=report))
+        lattices.append(lattice_for(sub, radius, max_letters=_max_edges(args)))
     comparison = diagram_compare(*lattices)
     _emit({
         "shape_isomorphic": comparison.shape_isomorphic,

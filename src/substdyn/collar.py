@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import Substitution, Word
 from .errors import EdgeBudgetError, BorderForcingError, PaddingError
 from .language import LanguageTable, table_for
-from .classify import classify_letters
+from .classify import classify_letters, decide_tameness
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,18 @@ def _image_letters(sub: Substitution, letter: CollaredLetter, radius: int):
     return out
 
 
-def over_budget(n_letters: int, max_letters: int) -> bool:
-    """The collar budget: whether an alphabet of ``n_letters`` tokens exceeds
-    ``max_letters``.  ``collar`` raises EdgeBudgetError as soon as its
-    alphabet would pass the budget, so a finished collar is what
-    ``collar(..., max_letters=m)`` returns exactly when its alphabet size is
-    not over ``m``."""
-    return n_letters > max_letters
+def check_budget(n_letters: int, max_letters: int | None):
+    """Raise EdgeBudgetError when an alphabet of ``n_letters`` tokens passes
+    ``max_letters`` (None: no budget), as ``collar`` does per added letter."""
+    if max_letters is not None and n_letters > max_letters:
+        raise EdgeBudgetError(f"collared alphabet exceeded {max_letters} letters")
 
 
 def collar(base: Substitution, radius: int, padding: str | None = None,
            max_letters: int | None = None) -> CollaredSubstitution:
-    """Build the radius-n collared substitution over the padding letter."""
+    """Build the radius-n collared substitution over the padding letter.  A
+    collared letter is fixed by its (2n+1)-context, so None (no budget) for
+    ``max_letters`` still bounds the alphabet by |A|^(2n+1)."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if padding is None:
@@ -91,8 +91,6 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
     if padding not in base.alphabet:
         raise PaddingError(f"padding letter {padding!r} not in alphabet")
     table = table_for(base, 2 * radius + 2)
-    if max_letters is None:
-        max_letters = len(base.alphabet) ** (2 * radius + 2) + len(base.alphabet)
 
     legal_contexts = table.legal(2 * radius + 1)
     legal_letters = [CollaredLetter(w[radius], w) for w in legal_contexts]
@@ -106,9 +104,7 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
     for cl in legal_letters + padded:
         tok = cl.token(base)
         if tok not in known:
-            if over_budget(len(known) + 1, max_letters):
-                raise EdgeBudgetError(
-                    f"collared alphabet exceeded {max_letters} letters")
+            check_budget(len(known) + 1, max_letters)
             known[tok] = cl
             order.append(tok)
             worklist.append(cl)
@@ -121,9 +117,7 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
         for img in image:
             itok = img.token(base)
             if itok not in known:
-                if over_budget(len(known) + 1, max_letters):
-                    raise EdgeBudgetError(
-                        f"collared alphabet exceeded {max_letters} letters")
+                check_budget(len(known) + 1, max_letters)
                 known[itok] = img
                 order.append(itok)
                 worklist.append(img)
@@ -145,19 +139,15 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
         table=table)
 
 
-def border_forcing_level(collared: CollaredSubstitution,
-                         n_sigma: int | None = None,
-                         verify: bool = True) -> int:
+def border_forcing_level(collared: CollaredSubstitution) -> int:
     """Least k with |sigma^k(a)| > N for every expanding letter, verified by
     checking that every legal collared letter has unique flanking letters
     around its level-k supertile."""
     base = collared.base
-    if n_sigma is None:
-        from .classify import decide_tameness
-        report = decide_tameness(base)
-        if not report.tame:
-            raise BorderForcingError("border forcing requires a tame substitution")
-        n_sigma = report.n_sigma
+    report = decide_tameness(base)
+    if not report.tame:
+        raise BorderForcingError("border forcing requires a tame substitution")
+    n_sigma = report.n_sigma
     if collared.radius < n_sigma:
         raise BorderForcingError(
             f"radius {collared.radius} below the bounded-word bound {n_sigma}")
@@ -169,8 +159,7 @@ def border_forcing_level(collared: CollaredSubstitution,
         k += 1
         if k > 64:
             raise BorderForcingError("no expanding letter outgrows the bound")
-    if verify:
-        _verify_forcing(collared, k)
+    _verify_forcing(collared, k)
     return k
 
 

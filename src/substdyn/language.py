@@ -74,7 +74,11 @@ bi-infinite vertices at both margin orders do not depend on it, so a core
 is built once per (substitution, cap) likewise, and a primitive rule's
 word store once per rule.  A primitive table builds its core at
 max_length + 1 only for stabilized_at (read by analyze alone) and for the
-lengths the lift cannot bound.  The store is a context variable dropped
+lengths the lift cannot bound.  The store also keeps a rule's tameness
+report and its lattice per radius, which each stage reads itself; keyword
+options to ``_once`` (a lattice's letter budget) are not part of the key,
+so a caller checks its own against what it gets.  The store is a context
+variable dropped
 when the session closes, not an attribute of the substitution: a table
 refers to its rule, so a store on the rule forms a reference cycle that
 only the cyclic collector frees, and that doubled a corpus pass's peak
@@ -356,14 +360,14 @@ class LanguageTable:
 _session_store = contextvars.ContextVar("substdyn_session_store", default=None)
 
 
-def _once(build, *key):
-    """``build(*key)``, called once per key inside ``session()`` and on
-    every call outside one."""
+def _once(build, *key, **options):
+    """``build(*key, **options)``, called once per key inside ``session()``
+    and on every call outside one; ``options`` are not part of the key."""
     store = _session_store.get()
     if store is None:
-        return build(*key)
+        return build(*key, **options)
     if (build, *key) not in store:
-        store[build, *key] = build(*key)
+        store[build, *key] = build(*key, **options)
     return store[build, *key]
 
 
@@ -375,8 +379,9 @@ def table_for(sub: Substitution, max_length: int, margin: int | None = None) -> 
 
 @contextlib.contextmanager
 def session():
-    """A scope in which ``table_for`` shares its tables, and tables their
-    cores; both are released when it closes."""
+    """A scope in which ``table_for`` shares its tables, tables their cores,
+    and stages a rule's tameness report and lattices; all are released when
+    it closes."""
     token = _session_store.set({})
     try:
         yield

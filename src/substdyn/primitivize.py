@@ -429,16 +429,11 @@ def _check_intertwine(power_sub, cs, codes, by_word):
     return True
 
 
-def primitivize(sub: Substitution, depth: int = 6,
-                report: TamenessReport | None = None):
+def primitivize(sub: Substitution, depth: int = 6):
     """Full pipeline: tameness gate, seed, return words, psi, theta and the
     sampled conjugacy verification.  Periodic minimal inputs short-circuit
-    to a constant-length primitive substitution on the periodic word.
-
-    ``report``, when given, must be ``decide_tameness(sub)`` (as for
-    ``find_seed``); it saves deciding tameness again."""
-    if report is None:
-        report = decide_tameness(sub)
+    to a constant-length primitive substitution on the periodic word."""
+    report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("cannot primitivize an empty subshift")
     if not report.tame:
@@ -446,7 +441,7 @@ def primitivize(sub: Substitution, depth: int = 6,
         if periodic is not None:
             return periodic
         raise WildInputError("substitution is wild and not a single periodic orbit")
-    seed = find_seed(sub, report=report)
+    seed = find_seed(sub)
     rws = return_words(sub, seed=seed)
     ds = build_psi(sub, rws)
     cs = build_theta(ds)

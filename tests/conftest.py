@@ -147,7 +147,7 @@ def random_minimal_nonprimitive(rng):
             continue
         report = decide_tameness(sub)
         if report.tame and not report.empty_subshift and \
-                is_minimal(sub, use_cis=False, report=report).verdict == "yes":
+                is_minimal(sub, use_cis=False).verdict == "yes":
             return sub
 
 
@@ -347,7 +347,7 @@ def tame_lattices(subs, limit, radius_cap=None, max_letters=None):
             continue
         if not collared.legal:
             continue
-        out.append((collared, enumerate_cis(collared, tameness=report)))
+        out.append((collared, enumerate_cis(collared)))
         if len(out) >= limit:
             break
     return out

@@ -128,8 +128,7 @@ def test_criterion_4_cohomology_ranks():
 
 def _lattice(name, radius=None):
     sub = corpus_get(name)
-    report = decide_tameness(sub)
-    return enumerate_cis(collar(sub, radius or report.n_sigma), tameness=report)
+    return enumerate_cis(collar(sub, radius or decide_tameness(sub).n_sigma))
 
 
 def test_criterion_5_cis_lattices():

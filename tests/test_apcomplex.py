@@ -136,8 +136,6 @@ def test_recognisability_flag():
     assert chacon_pres.recognisable == "evidenced"
     mixed = parse_substitution("a -> aa\nb -> aba\nc -> ccd\nd -> cd\ne -> bdecb\n")
     assert inverse_limit_presentation(mixed).recognisable == "unknown"
-    assert inverse_limit_presentation(mixed, assume_recognisable=True
-                                      ).recognisable == "assumed"
 
 
 def test_forgetful_naturality(chacon):

@@ -244,8 +244,7 @@ def test_extend_substitution_solenoid():
     assert extended.rules["0"] == carrier.rules["0"]
     # the result has exactly one nonempty proper invariant subspace
     from substdyn.classify import decide_tameness
-    report = decide_tameness(extended)
-    lattice = enumerate_cis(collar(extended, report.n_sigma), tameness=report)
+    lattice = enumerate_cis(collar(extended, decide_tameness(extended).n_sigma))
     assert len(lattice.nonempty_proper()) == 1
 
 
@@ -445,7 +444,7 @@ def test_canonicalize_trims_only_special_vertices(monkeypatch):
         return trim(nodes, succ, pred)
 
     monkeypatch.setattr(cis, "biinfinite_path_nodes", counting)
-    enumerate_cis(collared, tameness=report, context=context)
+    enumerate_cis(collared, context=context)
     monkeypatch.undo()
     assert trimmed and max(trimmed) <= len(context.special)
 
@@ -593,8 +592,7 @@ def test_closure_pass_adds_no_node(lattice_cases, monkeypatch):
 def test_each_node_subgraph_is_built_once(name, monkeypatch):
     from substdyn.classify import decide_tameness
     sub = CORPUS[name].substitution()
-    report = decide_tameness(sub)
-    collared = collar(sub, report.n_sigma)
+    collared = collar(sub, decide_tameness(sub).n_sigma)
     built = []
     build = cis._sub_multigraph
 
@@ -603,7 +601,7 @@ def test_each_node_subgraph_is_built_once(name, monkeypatch):
         return build(graph, edges)
 
     monkeypatch.setattr(cis, "_sub_multigraph", counting)
-    lattice = enumerate_cis(collared, tameness=report)
+    lattice = enumerate_cis(collared)
     nonempty = [node.edges for node in lattice.nodes if node.edges]
     assert len(nonempty) >= 2
     assert sorted(built, key=sorted) == sorted(nonempty, key=sorted)

@@ -213,7 +213,7 @@ def test_single_orbit_test_agrees_on_both_table_lengths():
             if report.tame or report.empty_subshift:
                 continue
             single = _analyze_table_single_orbit(sub, report.witness.periodic_word)
-            minimality = is_minimal(sub, report=report)
+            minimality = is_minimal(sub)
             assert minimality.verdict == ("yes" if single else "no"), sub.to_text()
             assert (_periodic_bypass(sub, report) is not None) == single, sub.to_text()
         verdicts.append(single)

@@ -222,32 +222,49 @@ def test_analyze_cis_matches_cis_command(capsys):
     assert compared >= 20
 
 
-def test_analyze_reuses_the_minimality_lattice(capsys, monkeypatch):
-    # fib_handle is tame and not minimal, so the minimality oracle builds
-    # the lattice at radius n_sigma; analyze must not build it again
+def _count_calls(monkeypatch, calls, attr, module_names):
+    """Count calls to ``attr`` through each named module's global of that
+    name (the package attributes of these names are the functions, so the
+    modules are taken from sys.modules)."""
     import sys
-    # the package attributes of these names are the functions, so the
-    # modules are taken from sys.modules
-    cis_mod, cli_mod, collar_mod = (sys.modules[f"substdyn.{name}"]
-                                    for name in ("cis", "cli", "collar"))
-    calls = []
-
-    def counting(module, attr):
+    for name in module_names:
+        module = sys.modules[f"substdyn.{name}"]
         original = getattr(module, attr)
 
-        def wrapped(*args, **kwargs):
+        def wrapped(*args, _original=original, **kwargs):
             calls.append(attr)
-            return original(*args, **kwargs)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapped)
 
-    for module in (collar_mod, cli_mod):
-        counting(module, "collar")
-    for module in (cis_mod, cli_mod):
-        counting(module, "enumerate_cis")
-    code, out, _ = run_cli(capsys, "analyze", "corpus:fib_handle")
-    assert code == 0
-    assert json.loads(out)["minimality"]["verdict"] == "no"
-    assert calls == ["collar", "enumerate_cis"]
+
+def test_analyze_reuses_the_minimality_lattice(capsys, monkeypatch):
+    # where the minimality oracle builds the lattice at radius n_sigma,
+    # analyze reads the same one from the session; every tame entry
+    # collars, builds its complex and enumerates its lattice once
+    from substdyn import corpus
+    from substdyn.classify import decide_tameness
+    calls = []
+    _count_calls(monkeypatch, calls, "collar", ("collar", "cli", "cis"))
+    _count_calls(monkeypatch, calls, "enumerate_cis", ("cis", "cli"))
+    _count_calls(monkeypatch, calls, "build_complex", ("apcomplex", "cli", "cis"))
+    _count_calls(monkeypatch, calls, "lattice_for", ("cis", "cli"))
+    oracle = []
+    for name in corpus.names():
+        report = decide_tameness(corpus.get(name))
+        if not report.tame or report.empty_subshift:
+            continue
+        calls.clear()
+        code, out, _ = run_cli(capsys, "analyze", f"corpus:{name}")
+        assert code == 0, name
+        assert sorted(calls) == ["build_complex", "collar", "enumerate_cis"] + \
+            ["lattice_for"] * calls.count("lattice_for"), name
+        reason = json.loads(out)["minimality"]["reason"]
+        # the oracle ran exactly where the verdict rests on the lattice
+        assert (calls.count("lattice_for") == 2) == ("subspaces" in reason
+                                                     or "lattice" in reason), name
+        if calls.count("lattice_for") == 2:
+            oracle.append(name)
+    assert len(oracle) == 16 and "fib_handle" in oracle
 
 
 def test_max_edges_below_the_lattice_alphabet_exits_4(capsys):
@@ -304,15 +321,21 @@ def test_analyze_builds_each_table_once(capsys, monkeypatch, tmp_path):
     ids=["analyze corpus:sigma_4", "corpus run sigma_4 fibonacci"])
 def test_tables_die_with_the_command(capsys, monkeypatch, argv, most_alive):
     # a session's store is dropped when its command (or corpus entry)
-    # ends, and no table, core or primitive rule's word store lies on a
-    # reference cycle (as it would with a store held by the rule), so
-    # reference counting alone frees them all
+    # ends, and no table, core, primitive rule's word store, tameness
+    # report, collared rule or lattice lies on a reference cycle (as it
+    # would with a store held by the rule), so reference counting alone
+    # frees them all
     import gc
     import weakref
     from substdyn import corpus
+    from substdyn.cis import CISLattice
+    from substdyn.classify import TamenessReport
+    from substdyn.collar import CollaredSubstitution
     from substdyn.language import LanguageTable, _LanguageCore, _PrimitiveWords
     entries = {corpus.get(name) for name in ("sigma_4", "fibonacci")}
-    refs = {LanguageTable: [], _LanguageCore: [], _PrimitiveWords: []}
+    refs = {cls: [] for cls in (LanguageTable, _LanguageCore, _PrimitiveWords,
+                                TamenessReport, CollaredSubstitution, CISLattice)}
+    # per language class, the entries whose objects were alive at each build
     entries_alive = {LanguageTable: [], _LanguageCore: [], _PrimitiveWords: []}
 
     def recording(cls):
@@ -321,9 +344,10 @@ def test_tables_die_with_the_command(capsys, monkeypatch, argv, most_alive):
         def init(self, *args, **kwargs):
             original(self, *args, **kwargs)
             refs[cls].append(weakref.ref(self))
-            built = (ref() for ref in refs[cls])
-            entries_alive[cls].append(len({item.sub for item in built if item is not None}
-                                          & entries))
+            if cls in entries_alive:
+                built = (ref() for ref in refs[cls])
+                entries_alive[cls].append(len({item.sub for item in built
+                                               if item is not None} & entries))
         return init
 
     for cls in refs:
@@ -361,26 +385,47 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
-def test_primitivize_decides_tameness_once(tmp_path, capsys, monkeypatch):
+def _decisions(monkeypatch):
+    """The rules whose tameness is decided, one entry per run of the
+    decision that ``decide_tameness`` keeps per rule in the session."""
     import sys
-    calls = []
-    original = sys.modules["substdyn.classify"].decide_tameness
+    classify = sys.modules["substdyn.classify"]
+    original = classify._decide_tameness
+    decided = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(sub):
+        decided.append(sub)
+        return original(sub)
 
-    for name in ("cli", "primitivize", "classify"):
-        monkeypatch.setattr(sys.modules[f"substdyn.{name}"], "decide_tameness", counting)
-    code, _, _ = run_cli(capsys, "primitivize", "corpus:fib_handle",
-                         "--out-dir", str(tmp_path))
-    assert code == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(classify, "_decide_tameness", counting)
+    return decided
+
+
+def _assert_decides_once_per_rule(capsys, decided, commands):
+    from substdyn import corpus
+    for argv in commands:
+        decided.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code in (0, 2, 3), argv
+        assert corpus.get(argv[1].removeprefix("corpus:")) in decided, argv
+        assert len(set(decided)) == len(decided), argv
+
+
+def test_primitivize_decides_tameness_once(tmp_path, capsys, monkeypatch):
+    # every stage reads the session's report, so each command decides
+    # tameness once per rule it meets
+    from substdyn import corpus
+    decided = _decisions(monkeypatch)
+    _assert_decides_once_per_rule(capsys, decided, [
+        [command, f"corpus:{name}", *flags]
+        for name in corpus.names()
+        for command, flags in (("primitivize", ["--out-dir", str(tmp_path)]),
+                               ("cis", []), ("cohomology", []))])
 
 
 def test_analyze_wild_decides_once_and_builds_its_table_once(capsys, monkeypatch):
-    import sys
     from collections import Counter
+    from substdyn import corpus
     from substdyn.language import LanguageTable
     built = Counter()
     original = LanguageTable.__init__
@@ -389,23 +434,27 @@ def test_analyze_wild_decides_once_and_builds_its_table_once(capsys, monkeypatch
         original(self, *args, **kwargs)
         built[(self.sub, self.max_length, self.margin)] += 1
 
-    calls = []
-    decide = sys.modules["substdyn.classify"].decide_tameness
-
-    def counting_decide(*args, **kwargs):
-        calls.append(args)
-        return decide(*args, **kwargs)
-
     monkeypatch.setattr(LanguageTable, "__init__", counting)
-    for name in ("cli", "primitivize", "classify"):
-        monkeypatch.setattr(sys.modules[f"substdyn.{name}"], "decide_tameness",
-                            counting_decide)
+    decided = _decisions(monkeypatch)
     code, out, _ = run_cli(capsys, "analyze", "corpus:wild_ab")
     assert code == 0
     assert json.loads(out)["primitivization"] is not None
     # the witness check and the periodic bypass read the analyze table
     assert sum(built.values()) == 1
-    assert len(calls) == 1
+    assert len(decided) == 1
+    _assert_decides_once_per_rule(capsys, decided, [
+        ["analyze", f"corpus:{name}"] for name in corpus.names()])
+
+
+def test_analyze_short_table_keeps_the_tameness_report(capsys):
+    # minimality reads the session's report, decided on the tameness table,
+    # not one decided again on the 3-letter analyze table, which the
+    # bounded words of sigma_3 outgrow
+    code, out, err = run_cli(capsys, "analyze", "--max-length", "3", "corpus:sigma_3")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["language"]["max_length"] == 3
+    assert data["classification"]["n_sigma"] == 4
 
 
 def test_primitivize_closes_the_words_found_before_the_scan_budget(tmp_path, capsys):

@@ -80,15 +80,15 @@ def test_collared_legality_cross_check(chacon, fib_handle):
 
 
 def test_border_forcing_levels(chacon, fib_handle):
-    assert border_forcing_level(collar(chacon, 2), n_sigma=2) == 1
-    assert border_forcing_level(collar(fib_handle, 1), n_sigma=1) == 1
+    assert border_forcing_level(collar(chacon, 2)) == 1
+    assert border_forcing_level(collar(fib_handle, 1)) == 1
     uniform = parse_substitution("a -> abb\nb -> bbb\n")
-    assert border_forcing_level(collar(uniform, 1), n_sigma=1) == 1
+    assert border_forcing_level(collar(uniform, 1)) == 1
 
 
 def test_border_forcing_radius_guard(chacon):
     with pytest.raises(BorderForcingError):
-        border_forcing_level(collar(chacon, 1), n_sigma=2)
+        border_forcing_level(collar(chacon, 1))
 
 
 def test_token_format(fib_handle):

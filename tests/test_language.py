@@ -514,6 +514,30 @@ def test_only_table_for_builds_tables():
     assert offenders == []
 
 
+def test_stages_read_the_session_report_themselves():
+    # the tameness report and n_sigma are read from the session by each
+    # stage (decide_tameness keeps one per rule), never handed between
+    # stages: no public function takes them, and decide_tameness is asked
+    # with the rule alone
+    import ast
+    import pathlib
+    import substdyn
+    offenders = []
+    for path in sorted(pathlib.Path(substdyn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not node.name.startswith("_"):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                offenders += [f"{where} {node.name}({arg.arg}=)" for arg in params
+                              if arg.arg in ("report", "tameness", "n_sigma")]
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "decide_tameness" \
+                    and (len(node.args) != 1 or node.keywords):
+                offenders.append(f"{where} passes decide_tameness more than the rule")
+    assert offenders == []
+
+
 def reference_periodic_search(sub, period_bound, table):
     """The enumeration the search replaced: the least rotation of every
     primitive word over the alphabet of length <= period_bound, kept when

@@ -227,7 +227,7 @@ def test_cis_brute_force_agreement():
         if not collared.legal or len(collared.legal) > 12:
             continue
         context = CanonicalizeContext(collared)
-        lattice = enumerate_cis(collared, tameness=report, context=context)
+        lattice = enumerate_cis(collared, context=context)
         brute = brute_force_canonical_sets(collared, context)
         from substdyn.cis import image_period
         periodic = {k for k in brute
