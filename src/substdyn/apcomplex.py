@@ -153,26 +153,39 @@ class DirectLimit:
     group_description: str
 
 
+# The prime modulus of the determinant filter in ``eventual_rank``.
+_DET_PRIME = 2 ** 61 - 1
+
+
 def eventual_rank(matrix):
     """(rank of A^dim, whether A is unimodular on its eventual image, the
-    restricted matrix in a lattice basis of that image)."""
+    restricted matrix in a lattice basis of that image).
+
+    The rank is the size of the lattice basis of A^dim's columns: its
+    vectors have distinct leading rows, so they are independent, and they
+    span the column lattice.  Unimodularity is |det(restricted)| = 1.  The
+    determinant is first taken modulo a fixed prime p, by elimination with
+    every entry below p.  A determinant of 1 or -1 leaves the residue 1 or
+    p - 1, so any other residue proves |det| != 1.  Only those two residues
+    fall through to the exact determinant, whose intermediate entries grow
+    with the restricted matrix's (thousands of bits on random 6-letter
+    rules at radius 2)."""
     n, m = intlin.dims(matrix)
     if n != m:
         raise intlin.DimensionError("eventual rank of a non-square matrix")
     if n == 0:
         return 0, True, []
-    power = intlin.mat_pow(matrix, n)
-    r = intlin.rank(power)
+    basis = intlin.column_lattice_basis(intlin.mat_pow(matrix, n))
+    r = len(basis)
     if r == 0:
         return 0, True, []
-    basis = intlin.column_lattice_basis(power)
     image = [[sum(matrix[i][k] * col[k] for k in range(n)) for col in basis]
              for i in range(n)]
     restricted_cols = [intlin.express_in_basis(basis, [image[i][j] for i in range(n)])
-                       for j in range(len(basis))]
-    restricted = [[restricted_cols[j][i] for j in range(len(basis))]
-                  for i in range(len(basis))]
-    unimodular = abs(intlin.det(restricted)) == 1
+                       for j in range(r)]
+    restricted = [[restricted_cols[j][i] for j in range(r)] for i in range(r)]
+    unimodular = (intlin.det_mod(restricted, _DET_PRIME) in (1, _DET_PRIME - 1)
+                  and abs(intlin.det(restricted)) == 1)
     return r, unimodular, restricted
 
 

@@ -239,10 +239,6 @@ class CISLattice:
     def quotient_h1_profile(self):
         return [n.quotient_h1_rank for n in self.nodes]
 
-    def nonempty_proper(self):
-        top = self.nodes[0].edges
-        return [n for n in self.nodes if n.edges and n.edges != top]
-
 
 def _sub_multigraph(graph: Multigraph, edges):
     edge_list = tuple(sorted(edges))
@@ -398,16 +394,18 @@ def enumerate_cis(collared: CollaredSubstitution,
 
 def lattice_for(sub: Substitution, radius: int,
                 max_letters: int | None = None) -> CISLattice:
-    """``enumerate_cis(collar(sub, radius, max_letters=max_letters))``, built
-    once per (sub, radius) inside ``language.session()``.  A shared lattice
-    over the budget raises the EdgeBudgetError ``collar`` would."""
-    lattice = _once(_lattice, sub, radius, max_letters=max_letters)
-    check_budget(len(lattice.collared.sub.alphabet), max_letters)
-    return lattice
+    """``enumerate_cis(collar(sub, radius, max_letters=max_letters))``, with
+    the collared rule and the lattice each built once per (sub, radius)
+    inside ``language.session()``.  A shared collared rule over the budget
+    raises the EdgeBudgetError ``collar`` would, before the lattice is read,
+    so a lattice kept as failed under a looser budget does not hide it."""
+    collared = _once(collar, sub, radius, max_letters=max_letters)
+    check_budget(len(collared.sub.alphabet), max_letters)
+    return _once(_lattice, sub, radius, collared=collared)
 
 
-def _lattice(sub: Substitution, radius: int, max_letters: int | None) -> CISLattice:
-    return enumerate_cis(collar(sub, radius, max_letters=max_letters))
+def _lattice(sub: Substitution, radius: int, collared: CollaredSubstitution) -> CISLattice:
+    return enumerate_cis(collared)
 
 
 def _limit_data(h1: H1Presentation | None, graph: Multigraph):
@@ -574,13 +572,14 @@ def lattice_to_dot(lattice: CISLattice) -> str:
 
 
 def _hasse_pairs(lattice: CISLattice):
-    strict = set(lattice.order)
+    """The covering pairs of the order, sorted: the covers of a node are
+    its up-set less the up-sets of its members."""
+    above = {node.name: set() for node in lattice.nodes}
+    for small, big in lattice.order:
+        above[small].add(big)
     covers = []
-    for a, b in strict:
-        if any((a, c) in strict and (c, b) in strict
-               for c in {n.name for n in lattice.nodes} - {a, b}):
-            continue
-        covers.append((a, b))
+    for small, bigger in above.items():
+        covers += [(small, big) for big in bigger.difference(*(above[c] for c in bigger))]
     return sorted(covers)
 
 

@@ -136,6 +136,34 @@ def det(matrix):
     return sign * work[rows - 1][rows - 1]
 
 
+def det_mod(matrix, modulus):
+    """``det(matrix) % modulus`` for a prime modulus, by Gaussian
+    elimination over GF(modulus): every entry stays below the modulus."""
+    rows, cols = dims(matrix)
+    if rows != cols:
+        raise DimensionError("determinant of a non-square matrix")
+    work = [[x % modulus for x in row] for row in matrix]
+    result = 1
+    for k in range(rows):
+        pivot_row = next((i for i in range(k, rows) if work[i][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            result = -result
+        pivot = work[k][k]
+        result = result * pivot % modulus
+        inverse = pow(pivot, -1, modulus)
+        top = work[k]
+        for i in range(k + 1, rows):
+            factor = work[i][k] * inverse % modulus
+            if factor:
+                row = work[i]
+                for j in range(k + 1, rows):
+                    row[j] = (row[j] - factor * top[j]) % modulus
+    return result % modulus
+
+
 def column_lattice_basis(matrix):
     """Basis (as a list of column vectors) of the lattice spanned by the
     columns of `matrix`, via column-style Hermite reduction."""

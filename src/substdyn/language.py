@@ -62,8 +62,19 @@ lengths stay bounded.
 The periodic-point search takes its candidates from the table it checks
 against.  A cyclic word u of length p <= max_length can pass only if u is
 legal, because u is a prefix of the first window of its repetition; so the
-candidates of length p are the legal words of length p that are primitive
-and least among their rotations, not all |A|^p words.
+candidates of length p are the legal words of length p that are not proper
+powers, not all |A|^p words.  A table's legal set of each length holds the
+prefixes of its longer legal words: a primitive table's sets are admitted
+sets, which are factor-closed, and a non-primitive table's are the prefixes
+of its top set.  So a repetition with an illegal window of some length
+also has one at the table bound, which holds that window as a prefix.  The
+search therefore drops candidates on windows of length 8, 16, 32, ...
+before it reaches the bound, and reads a length's set only while a
+candidate survives.  On twenty random primitive rules of 6-8 letters, with
+images of 2-3 letters, every candidate died by length 32, so the set at
+the bound (36-48) was never derived.  Only the survivors are decoded.  The
+rotations of a word share its windows, so they survive or die together,
+and the search reports each surviving class once, as its least rotation.
 
 Every stage gets its table from ``table_for``, keyed by (substitution,
 max_length, resolved margin).  Inside ``session()``, which ``cli.main``
@@ -75,24 +86,25 @@ is built once per (substitution, cap) likewise, and a primitive rule's
 word store once per rule.  A primitive table builds its core at
 max_length + 1 only for stabilized_at (read by analyze alone) and for the
 lengths the lift cannot bound.  The store also keeps a rule's tameness
-report and its lattice per radius, which each stage reads itself; keyword
-options to ``_once`` (a lattice's letter budget) are not part of the key,
-so a caller checks its own against what it gets.  The store is a context
-variable dropped
-when the session closes, not an attribute of the substitution: a table
-refers to its rule, so a store on the rule forms a reference cycle that
-only the cyclic collector frees, and that doubled a corpus pass's peak
-RSS (39 to 82-87 MB).
+report, and its collared rule and lattice per radius, which each stage
+reads itself; keyword options to ``_once`` (a letter budget) are not part
+of the key, so a caller checks its own against what it gets.  A build
+that fails fails once: the store keeps its error (see ``_once``).  The
+store is a context variable dropped when the session closes, not an
+attribute of the substitution: a table refers to its rule, so a store on
+the rule forms a reference cycle that only the cyclic collector frees,
+and that doubled a corpus pass's peak RSS (39 to 82-87 MB).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import copy
 import functools
 
 from .core import Substitution, Word
-from .errors import MarginError
+from .errors import EdgeBudgetError, MarginError, SubstdynError
 from .graphs import biinfinite_path_nodes
 
 # Hard ceiling on the default margin order; larger orders must be requested
@@ -102,6 +114,10 @@ DEFAULT_MARGIN_CAP = 400
 # A primitive table takes lengths up to this cap from the core at it and
 # lifts longer ones; collar's radius-2 table builds this core anyway.
 BASE_CAP = 7
+
+# The periodic-point search checks windows of this length first, then of
+# twice the length, and so on up to its table bound.
+_FIRST_WINDOW = 8
 
 
 def default_margin(sub: Substitution, max_length: int) -> int:
@@ -362,13 +378,29 @@ _session_store = contextvars.ContextVar("substdyn_session_store", default=None)
 
 def _once(build, *key, **options):
     """``build(*key, **options)``, called once per key inside ``session()``
-    and on every call outside one; ``options`` are not part of the key."""
+    and on every call outside one; ``options`` are not part of the key.
+
+    A ``SubstdynError`` the build raises is kept, and raised again on each
+    later call for the key.  An ``EdgeBudgetError`` is not kept: it depends
+    on the caller's letter budget, an option.  What is kept and raised
+    again is a copy, as a raised error's traceback holds ``_once``'s frame
+    and so the store, which would then hold the error on a reference
+    cycle."""
     store = _session_store.get()
     if store is None:
         return build(*key, **options)
     if (build, *key) not in store:
-        store[build, *key] = build(*key, **options)
-    return store[build, *key]
+        try:
+            store[build, *key] = build(*key, **options)
+        except EdgeBudgetError:
+            raise
+        except SubstdynError as exc:
+            store[build, *key] = copy.copy(exc)
+            raise
+    entry = store[build, *key]
+    if isinstance(entry, SubstdynError):
+        raise copy.copy(entry)
+    return entry
 
 
 def table_for(sub: Substitution, max_length: int, margin: int | None = None) -> LanguageTable:
@@ -427,17 +459,23 @@ def periodic_point_search(sub: Substitution, period_bound: int,
     if table.empty_subshift:
         return []
     check_len = table.max_length
-    windows = table.legal_coded(check_len)
+    # each candidate with its repetition, long enough for every window
+    # length; a proper power occurs inside its own square, off the ends
+    rings = [(coded, coded * (check_len // length + 2))
+             for length in range(1, period_bound + 1)
+             for coded in table.legal_coded(length)
+             if coded not in (coded + coded)[1:-1]]
+    window_len = min(_FIRST_WINDOW, check_len)
+    while rings:
+        windows = table.legal_coded(window_len)
+        rings = [(coded, ring) for coded, ring in rings
+                 if all(ring[i:i + window_len] in windows for i in range(len(coded)))]
+        if window_len == check_len:
+            break
+        window_len = min(2 * window_len, check_len)
     found = []
-    for length in range(1, period_bound + 1):
-        for coded in table.legal_coded(length):
-            # a proper power occurs inside its own square, off the ends
-            if coded in (coded + coded)[1:-1]:
-                continue
-            word = sub.decode(coded)
-            if any(word[i:] + word[:i] < word for i in range(1, length)):
-                continue
-            ring = coded * (check_len // length + 2)
-            if all(ring[i:i + check_len] in windows for i in range(length)):
-                found.append(word)
+    for coded, _ in rings:
+        word = sub.decode(coded)
+        if all(word[i:] + word[:i] >= word for i in range(1, len(word))):
+            found.append(word)
     return sorted(found, key=lambda w: (len(w), w))

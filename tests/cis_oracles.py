@@ -2,13 +2,15 @@
 one-shot canonicalization, the canonicalizations of every edge subset, the
 eventual range of the induced image map, the rank of a map between direct
 limits, the pairwise closure pass that ``enumerate_cis`` once ran after its
-deletion closure, and the lattice comparison over every node bijection.
+deletion closure, the lattice comparison over every node bijection, the
+covering pairs by a scan of every third node, and a lattice's nonempty
+proper nodes.
 """
 
 import itertools
 
 from substdyn.apcomplex import build_complex
-from substdyn.cis import (CanonicalizeContext, Subcomplex, _limit_data,
+from substdyn.cis import (CanonicalizeContext, CISLattice, Subcomplex, _limit_data,
                           _limit_data_rank, edge_image)
 from substdyn.collar import CollaredSubstitution
 
@@ -106,3 +108,22 @@ def permutation_order_isomorphism_exists(nodes_a, order_a, nodes_b, order_b,
                for x in names_a for y in names_a):
             return True
     return False
+
+
+def hasse_pairs(lattice: CISLattice):
+    """The covering pairs of the order, sorted: the strict pairs (a, b)
+    with no node c between them, tried for every c."""
+    strict = set(lattice.order)
+    covers = []
+    for a, b in strict:
+        if any((a, c) in strict and (c, b) in strict
+               for c in {n.name for n in lattice.nodes} - {a, b}):
+            continue
+        covers.append((a, b))
+    return sorted(covers)
+
+
+def nonempty_proper(lattice: CISLattice):
+    """The nodes other than the whole complex and the empty one."""
+    top = lattice.nodes[0].edges
+    return [n for n in lattice.nodes if n.edges and n.edges != top]

@@ -7,8 +7,8 @@ this module as ``intlin`` and reaches them and these oracles under one name.
 
 from substdyn.errors import SubstdynError
 from substdyn.intlin import (DimensionError, column_lattice_basis, copy, det,  # noqa: F401
-                             dims, express_in_basis, identity, mat_mul, mat_pow,
-                             rank, zeros)
+                             det_mod, dims, express_in_basis, identity, mat_mul,
+                             mat_pow, rank, zeros)
 
 
 def mat_vec(a, v):

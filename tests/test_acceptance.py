@@ -21,6 +21,7 @@ from substdyn.primitivize import (ConjugateSubstitution, build_psi, build_theta,
                                   primitivize, return_words, verify_conjugacy)
 
 import test_properties
+from cis_oracles import nonempty_proper
 from core_oracles import parse_word
 from language_oracles import is_admitted
 from test_apcomplex import snf_probes_equal
@@ -150,7 +151,7 @@ def test_criterion_5_cis_lattices():
     assert minimal_ranks == [2, 4]
 
     one = _lattice("one_proper_cis")
-    assert len(one.nonempty_proper()) == 1
+    assert len(nonempty_proper(one)) == 1
 
     proximal = _lattice("fib_proximal")
     assert len(proximal.nodes) == 4

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import intlin_oracles as intlin
@@ -12,6 +14,7 @@ from substdyn.errors import SubstdynError, WildInputError
 from substdyn.primitivize import primitivize
 
 from conftest import reference_graph_h1
+from test_intlin import _unimodular
 from test_properties import SUBSTITUTIONS
 
 
@@ -111,6 +114,55 @@ def test_eventual_rank_stability():
                    [[2, 0], [0, 0]]):
         squared = intlin.mat_mul(matrix, matrix)
         assert eventual_rank(matrix)[0] == eventual_rank(squared)[0]
+
+
+def _deficient_matrices(seed, count):
+    """Seeded square matrices of deficient rank: products of an n x k and a
+    k x n matrix, and unimodular conjugates of a block of a unimodular
+    matrix and a nilpotent one, so that both verdicts occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        if rng.random() < 0.5:
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            out.append(intlin.mat_mul(left, right))
+            continue
+        block = intlin.zeros(n, n)
+        unit = _unimodular(rng, k, 3 * k) if k > 1 else [[rng.choice((1, -1))]]
+        for i in range(k):
+            block[i][:k] = unit[i]
+        for i in range(k, n):
+            for j in range(i + 1, n):
+                block[i][j] = rng.randint(-2, 2)
+        # conjugate by elementary matrices E = I + f e_ij: E A adds f times
+        # row j to row i, and (E A) E^-1 subtracts f times column i from column j
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            factor = rng.randint(-2, 2)
+            block[i] = [a + factor * b for a, b in zip(block[i], block[j])]
+            for row in block:
+                row[j] -= factor * row[i]
+        out.append(block)
+    return out
+
+
+def test_eventual_rank_matches_char_poly_and_power_rank():
+    # over Q, A acts invertibly on its eventual image and nilpotently on a
+    # complement, so its characteristic polynomial is x^(n - r) times that of
+    # the restriction, whose constant term is det(restricted) up to sign
+    verdicts = set()
+    for matrix in _deficient_matrices(20261019, 150):
+        n = len(matrix)
+        rank, unimodular, restricted = eventual_rank(matrix)
+        assert rank == intlin.rank(intlin.mat_pow(matrix, n)) < n
+        lowest = next(c for c in reversed(intlin.char_poly(matrix)) if c)
+        assert unimodular == (abs(lowest) == 1), matrix
+        assert len(restricted) == rank
+        verdicts.add((rank > 0, unimodular))
+    assert verdicts == {(True, True), (True, False), (False, True)}
 
 
 def test_inverse_limit_presentations(chacon, fib_handle):

@@ -20,7 +20,7 @@ from substdyn.graphs import UnionFind
 from substdyn.language import LanguageTable
 
 from cis_oracles import (brute_force_canonical_sets, cis_canonicalize, closure_additions,
-                         eventual_range, limit_map_rank,
+                         eventual_range, hasse_pairs, limit_map_rank, nonempty_proper,
                          permutation_order_isomorphism_exists)
 from conftest import (reference_canonicalize, reference_graph_h1, reference_reduced_graph,
                       reference_tokens_of, reference_vertex_tokens, tame_lattices)
@@ -117,7 +117,7 @@ def test_chacon_lattice_is_trivial(chacon):
 def test_one_proper_cis():
     sub = parse_substitution("a -> aba\nb -> bbab\nc -> aa\n")
     lattice = enumerate_cis(collar(sub, 1))
-    proper = lattice.nonempty_proper()
+    proper = nonempty_proper(lattice)
     assert len(proper) == 1
     # the proper subspace avoids the aa patch: no context contains aa
     letters = {e for e in proper[0].edges}
@@ -245,7 +245,7 @@ def test_extend_substitution_solenoid():
     # the result has exactly one nonempty proper invariant subspace
     from substdyn.classify import decide_tameness
     lattice = enumerate_cis(collar(extended, decide_tameness(extended).n_sigma))
-    assert len(lattice.nonempty_proper()) == 1
+    assert len(nonempty_proper(lattice)) == 1
 
 
 def test_extend_single_handle(fib):
@@ -508,12 +508,34 @@ def test_long_exact_sequence_of_each_node(lattice_cases):
     checked = 0
     for _, lattice in corpus + seeded:
         omega = lattice.nodes[0]
-        for node in lattice.nonempty_proper():
+        for node in nonempty_proper(lattice):
             assert (node.quotient_h0 - 1) - omega.h0_rank + node.h0_rank \
                 - node.quotient_h1_rank + omega.h1_rank - node.h1_rank == 0, node.name
             checked += 1
-    assert sum(len(lattice.nonempty_proper()) for _, lattice in corpus) == 34
+    assert sum(len(nonempty_proper(lattice)) for _, lattice in corpus) == 34
     assert checked > 34
+
+
+def fibonacci_sum(copies):
+    """The direct sum of ``copies`` Fibonacci rules on disjoint alphabets;
+    its lattice is Boolean, with 2^copies nodes."""
+    letters = "abcdefghijklmnopqrstuvwxyz"[:2 * copies]
+    return parse_substitution("".join(f"{x} -> {x}{y}\n{y} -> {x}\n"
+                                      for x, y in zip(letters[::2], letters[1::2])))
+
+
+def test_hasse_pairs_match_the_scan(lattice_cases):
+    from substdyn.classify import decide_tameness
+    corpus, _ = lattice_cases
+    lattices = [lattice for _, lattice in corpus]
+    assert len(lattices) == 25
+    sub = fibonacci_sum(6)
+    lattices.append(enumerate_cis(collar(sub, decide_tameness(sub).n_sigma)))
+    assert len(lattices[-1].nodes) == 64
+    for lattice in lattices:
+        assert cis._hasse_pairs(lattice) == hasse_pairs(lattice)
+    # a Boolean lattice on six atoms: each node covers one node per atom it holds
+    assert len(hasse_pairs(lattices[-1])) == 6 * 2 ** 5
 
 
 def reference_quotient_map_rank(graph, small, big):

@@ -267,6 +267,43 @@ def test_analyze_reuses_the_minimality_lattice(capsys, monkeypatch):
     assert len(oracle) == 16 and "fib_handle" in oracle
 
 
+def test_a_failed_lattice_is_built_once(capsys, monkeypatch):
+    # the minimality oracle's lattice fails past the node cap; analyze then
+    # meets the session's kept failure instead of collaring again, and it
+    # exits as it did when it built the lattice twice.  The kept error holds
+    # no traceback, so reference counting alone frees the collared rule
+    import gc
+    import weakref
+    from substdyn import cis
+    from substdyn.collar import CollaredSubstitution
+    monkeypatch.setattr(cis, "MAX_LATTICE_NODES", 2)
+    calls = []
+    _count_calls(monkeypatch, calls, "collar", ("collar", "cli", "cis"))
+    refs = []
+    original = CollaredSubstitution.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+    monkeypatch.setattr(CollaredSubstitution, "__init__", init)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, out, err = run_cli(capsys, "analyze", "corpus:two_trib_bridge")
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert (code, out, err) == (1, "", "error: lattice exceeded 2 nodes\n")
+    assert calls == ["collar"]
+    assert refs and alive == []
+    # a budget below the collared alphabet still exits 4 with the report,
+    # though the oracle's unbudgeted lattice failed first
+    code, out, _ = run_cli(capsys, "--max-edges", "10", "analyze", "corpus:two_trib_bridge")
+    assert code == 4
+    assert json.loads(out)["warnings"] == ["collared alphabet exceeded 10 letters"]
+
+
 def test_max_edges_below_the_lattice_alphabet_exits_4(capsys):
     from substdyn import corpus
     from substdyn.classify import decide_tameness

@@ -43,6 +43,54 @@ def test_det_rank_charpoly_examples():
     assert intlin.char_poly([[0, 1], [0, 0]]) == [1, 0, 0]
 
 
+P61 = 2 ** 61 - 1
+
+
+def _unimodular(rng, n, steps):
+    """A product of elementary matrices: adding a multiple of one row to
+    another, and swapping two rows."""
+    matrix = intlin.identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            matrix[i], matrix[j] = matrix[j], matrix[i]
+        else:
+            factor = rng.randint(-3, 3)
+            matrix[i] = [a + factor * b for a, b in zip(matrix[i], matrix[j])]
+    return matrix
+
+
+def test_det_mod_matches_det():
+    rng = random.Random(20261019)
+    kinds = {"random": 0, "singular": 0, "unimodular": 0, "wide": 0}
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        kind = rng.choice(sorted(kinds))
+        if kind == "random":
+            matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        elif kind == "singular":
+            k = rng.randint(0, n - 1)
+            left = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+            matrix = intlin.mat_mul(left, right) if k else intlin.zeros(n, n)
+        elif kind == "unimodular":
+            matrix = _unimodular(rng, n, 4 * n) if n > 1 else [[rng.choice((1, -1))]]
+        else:
+            matrix = [[rng.randint(-2 ** 1100, 2 ** 1100) for _ in range(n)] for _ in range(n)]
+        kinds[kind] += 1
+        exact = intlin.det(matrix)
+        assert intlin.det_mod(matrix, P61) == exact % P61, (kind, matrix)
+        if kind == "singular":
+            assert exact == 0
+        if kind == "unimodular":
+            assert abs(exact) == 1
+    assert min(kinds.values()) >= 30
+    assert intlin.det_mod([], P61) == 1
+    assert intlin.det_mod([[P61 + 2]], P61) == 2
+    with pytest.raises(intlin.DimensionError):
+        intlin.det_mod([[1, 2]], P61)
+
+
 def test_pow_additivity():
     rng = random.Random(7)
     for _ in range(30):

@@ -555,10 +555,33 @@ def reference_periodic_search(sub, period_bound, table):
     return sorted(found, key=lambda w: (len(w), w))
 
 
+def _wide_primitive_sample(count, seed):
+    """Seeded primitive rules of 5-8 letters with images of 2-3 letters, as
+    the benchmark draws them; the search's long table is lifted for these."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        letters = "abcdefgh"[:rng.randint(5, 8)]
+        sub = Substitution([(a, tuple(rng.choice(letters) for _ in range(rng.choice((2, 3)))))
+                            for a in letters], alphabet=tuple(letters))
+        if sub.is_primitive():
+            out.append(sub)
+    return out
+
+
+# primitive rules of 5 letters whose subshift is the orbit of the
+# repetition of abcde
+PERIODIC_PRIMITIVE = ["a -> ab\nb -> cd\nc -> ea\nd -> bc\ne -> de\n",
+                      "a -> abc\nb -> dea\nc -> bcd\nd -> eab\ne -> cde\n"]
+
+
 @pytest.mark.parametrize(
     "sub", [entry.substitution() for entry in CORPUS.values()]
-    + _non_primitive_sample(150, seed=20261018, max_letters=4, max_image=3),
-    ids=list(CORPUS) + [f"non_primitive_{i}" for i in range(150)])
+    + _non_primitive_sample(150, seed=20261018, max_letters=4, max_image=3)
+    + _wide_primitive_sample(20, seed=20261019)
+    + [parse_substitution(text) for text in PERIODIC_PRIMITIVE],
+    ids=list(CORPUS) + [f"non_primitive_{i}" for i in range(150)]
+    + [f"wide_primitive_{i}" for i in range(20)] + ["periodic_primitive_0", "periodic_primitive_1"])
 def test_periodic_search_matches_enumeration(sub):
     for period_bound in range(1, 6):
         default = periodic_search_length(sub, period_bound)
