@@ -65,49 +65,61 @@ class APComplex:
         return len(self.edges) - self.vertex_count + self.component_count
 
 
-def _build_graph(edges, transitions):
+def _build_graph(edges, transitions, letters):
     """Vertices as transition classes: out-port of the left edge is glued to
-    the in-port of the right edge; sharing either edge merges classes."""
+    the in-port of the right edge; sharing either edge merges classes.
+
+    Ports are integers: with the edges ranked by ``repr``, the in-port of
+    the edge of rank j is j and its out-port is E + j.  So a class's sorted
+    ports order the classes as the sorted reprs of their ("in", edge) and
+    ("out", edge) members do, in-ports first.  A class is labelled by the
+    boundary word its members agree on, read off each edge's context: an
+    out-port's is the context less its first letter, an in-port's less its
+    last; it is positional ("v") when they disagree or the word is empty."""
+    count = len(edges)
+    ranked = sorted(edges, key=repr)
+    rank = {e: j for j, e in enumerate(ranked)}
     uf = UnionFind()
-    for e in edges:
-        uf.add(("out", e))
-        uf.add(("in", e))
+    for port in range(2 * count):
+        uf.add(port)
     for left, right in transitions:
-        uf.union(("out", left), ("in", right))
+        uf.union(count + rank[left], rank[right])
     classes = uf.classes()
-    # deterministic vertex order and labels: boundary word of the class when
-    # the members agree on one, else positional
-    roots = sorted(classes, key=lambda r: sorted(map(repr, classes[r])))
+
+    def boundary(port):
+        context = letters[ranked[port % count]].context
+        return "".join(context[1:] if port >= count else context[:-1])
+
+    roots = sorted(classes, key=lambda r: sorted(classes[r]))
     labels = []
     root_index = {}
     used = {}
     for root in roots:
         root_index[root] = len(labels)
-        members = classes[root]
-        words = set()
-        for kind, edge in members:
-            body = edge.split("|", 1)[1]
-            parts = body.split(".") if "." in body else list(body)
-            words.add("".join(parts[1:]) if kind == "out" else "".join(parts[:-1]))
+        words = {boundary(port) for port in classes[root]}
         label = words.pop() if len(words) == 1 else None
         if not label:
             label = "v"
-        count = used.get(label, 0)
-        used[label] = count + 1
-        labels.append(label if count == 0 else f"{label}#{count}")
-    source = {e: root_index[uf.find(("in", e))] for e in edges}
-    target = {e: root_index[uf.find(("out", e))] for e in edges}
+        seen = used.get(label, 0)
+        used[label] = seen + 1
+        labels.append(label if seen == 0 else f"{label}#{seen}")
+    source = {e: root_index[uf.find(rank[e])] for e in edges}
+    target = {e: root_index[uf.find(count + rank[e])] for e in edges}
     return Multigraph(tuple(edges), source, target, tuple(labels))
 
 
 def build_complex(collared: CollaredSubstitution) -> APComplex:
-    edges = sorted(collared.legal)
-    if not edges:
-        raise EmptySubshiftError("no legal collared letters; the subshift is empty")
-    transitions = tuple(collared.transitions())
-    graph = _build_graph(edges, transitions)
-    count, _ = graph.components()
-    return APComplex(graph, transitions, count)
+    """The collared rule's complex, built on the first call and kept on the
+    rule (``collared.complex``) for later ones."""
+    if collared.complex is None:
+        edges = sorted(collared.legal)
+        if not edges:
+            raise EmptySubshiftError("no legal collared letters; the subshift is empty")
+        transitions = tuple(collared.transitions())
+        graph = _build_graph(edges, transitions, collared.letters)
+        count, _ = graph.components()
+        collared.complex = APComplex(graph, transitions, count)
+    return collared.complex
 
 
 @dataclass(frozen=True)
@@ -121,9 +133,10 @@ def induced_map(collared: CollaredSubstitution, complex_: APComplex,
                 power: int = 1) -> CellularMap:
     """Each edge maps to the path spelled by its (power-fold) rule image."""
     graph = complex_.graph
+    rules = collared.sub.rules
     on_edges = {}
     for e in complex_.edges:
-        path = tuple(collared.sub.iterate((e,), power))
+        path = rules[e] if power == 1 else collared.sub.iterate((e,), power)
         for step in path:
             if step not in graph.source:
                 raise InconsistentRuleError(f"image of {e} leaves the complex at {step}")

@@ -36,7 +36,7 @@ from . import intlin
 from .apcomplex import (APComplex, H1Presentation, Multigraph, build_complex,
                         graph_h1)
 from .classify import decide_tameness
-from .collar import CollaredSubstitution, check_budget, collar
+from .collar import CollaredLetter, CollaredSubstitution, check_budget, collar
 from .core import Substitution
 from .errors import SubstdynError, SymbolError, WildInputError
 from .graphs import biinfinite_path_nodes
@@ -59,12 +59,13 @@ class CanonicalizeContext:
     otherwise the context asks ``table_for`` for the length its order
     needs.
 
-    A vertex's tokens are those of its (2n + 1)-windows; each distinct
-    coded window is decoded and formatted once, through a dict local to
-    this constructor.  An edge is its head vertex followed by one letter
-    and its tail vertex preceded by one, so its windows, and hence its
-    tokens, are the union of its head's and its tail's; both are vertices
-    because the table's legal words are closed under taking factors.  So
+    A vertex's tokens are those of its (2n + 1)-windows.  The window ->
+    token dict starts from the collared rule's ``tokens``, and a window
+    the collar did not reach is decoded and formatted once.  An edge is
+    its head vertex followed by one letter and its tail vertex preceded
+    by one, so its windows, and hence its tokens, are the union of its
+    head's and its tail's; both are vertices because the table's legal
+    words are closed under taking factors.  So
     an edge's tokens lie inside an edge set exactly when both its ends'
     do, and canonicalizing keeps the edges whose ends are both alive,
     with no token set of their own to test.
@@ -104,7 +105,7 @@ class CanonicalizeContext:
         self.exact = table.legal_exact
         self.order = table.max_length - 1  # vertex window length (base letters)
         width = 2 * n + 1
-        window_tokens: dict[str, str] = {}
+        window_tokens = dict(collared.tokens)
 
         def tokens_of(coded):
             out = set()
@@ -113,8 +114,7 @@ class CanonicalizeContext:
                 token = window_tokens.get(window)
                 if token is None:
                     word = base.decode(window)
-                    token = f"{word[n]}|" + base.format_word(word).replace(" ", ".")
-                    window_tokens[window] = token
+                    token = window_tokens[window] = CollaredLetter(word[n], word).token(base)
                 out.add(token)
             return frozenset(out)
 

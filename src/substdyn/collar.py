@@ -7,16 +7,36 @@ induced substitution: illegal letters still generate parts of the subshift
 and cannot be dropped.  The collared subshift is conjugate to the original
 one, so the legal collared letters are exactly those whose context is
 legal for the base substitution.
+
+Inside ``collar`` a collared letter is its coded (2n+1)-window: the
+context in the one-character-per-letter coding of ``core``, with the
+center at position n.  The image windows of a window w are the
+(2n+1)-windows of sigma(w) centred at the offsets |sigma(w[:n])| through
+|sigma(w[:n])| + |sigma(w[n])| - 1, so the closure never leaves the
+coding.  The collared alphabet is sorted by window.  Codes rise with the
+letter index and every window, padded ones too, holds its center at
+position n, so this is the order of (context indices, center index).  Each
+window is decoded and formatted once, after the closure, into its token
+``center|c1.c2...`` (the context joined by ``.``), and the
+``CollaredSubstitution`` keeps the window -> token map for the later
+stages.  Two windows format to one token when a letter holds ``.`` or
+``|`` (``a.c``, ``c``, ``y`` and ``a``, ``c``, ``c.y`` both give
+``c|a.c.c.y``); ``collar`` raises SymbolError then, as a token must name
+one letter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .core import Substitution, Word
-from .errors import EdgeBudgetError, BorderForcingError, PaddingError
+from .errors import EdgeBudgetError, BorderForcingError, PaddingError, SymbolError
 from .language import LanguageTable, table_for
 from .classify import classify_letters, decide_tameness
+
+if TYPE_CHECKING:
+    from .apcomplex import APComplex
 
 
 @dataclass(frozen=True)
@@ -35,6 +55,9 @@ class CollaredLetter:
 
 @dataclass
 class CollaredSubstitution:
+    """The collared rule, on tokens.  ``tokens`` maps each letter's coded
+    (2n+1)-window to its token; ``transitions()`` and the complex that
+    ``apcomplex.build_complex`` makes are built once and kept here."""
     base: Substitution
     radius: int
     padding: str
@@ -43,33 +66,20 @@ class CollaredSubstitution:
     legal: frozenset[str]                # tokens occurring in the subshift
     from_padding: frozenset[str]         # padded illegal letters
     table: LanguageTable                 # base language table used to build
+    tokens: dict[str, str]               # coded window -> token
+    complex: APComplex | None = field(default=None, compare=False, repr=False)
+    _transitions: list | None = field(default=None, compare=False, repr=False)
 
     def transitions(self) -> list[tuple[str, str]]:
-        """Legal collared 2-words as token pairs, from legal base
-        (2n+2)-words."""
-        n = self.radius
-        pairs = []
-        seen = set()
-        for word in self.table.legal(2 * n + 2):
-            left = CollaredLetter(word[n], word[:2 * n + 1]).token(self.base)
-            right = CollaredLetter(word[n + 1], word[1:]).token(self.base)
-            if (left, right) not in seen:
-                seen.add((left, right))
-                pairs.append((left, right))
-        return sorted(pairs)
-
-
-def _image_letters(sub: Substitution, letter: CollaredLetter, radius: int):
-    """Collared letters of the induced image: the image of the center read
-    inside the image of the context at the center offset."""
-    context_image = sub.apply(letter.context)
-    offset = len(sub.apply(letter.context[:radius]))
-    out = []
-    for i in range(len(sub.rules[letter.center])):
-        pos = offset + i
-        window = context_image[pos - radius:pos + radius + 1]
-        out.append(CollaredLetter(context_image[pos], window))
-    return out
+        """Legal collared 2-words as sorted token pairs, one per legal base
+        (2n+2)-word: the left letter's window drops its last base letter,
+        the right letter's its first."""
+        if self._transitions is None:
+            tokens = self.tokens
+            self._transitions = sorted(
+                (tokens[w[:-1]], tokens[w[1:]])
+                for w in self.table.legal_coded(2 * self.radius + 2))
+        return self._transitions
 
 
 def check_budget(n_letters: int, max_letters: int | None):
@@ -92,57 +102,66 @@ def collar(base: Substitution, radius: int, padding: str | None = None,
         raise PaddingError(f"padding letter {padding!r} not in alphabet")
     table = table_for(base, 2 * radius + 2)
 
-    legal_contexts = table.legal(2 * radius + 1)
-    legal_letters = [CollaredLetter(w[radius], w) for w in legal_contexts]
-    legal_base_letters = {w[0] for w in table.legal(1)}
-    padded = [CollaredLetter(a, ((padding,) * radius) + (a,) + ((padding,) * radius))
-              for a in base.alphabet if a not in legal_base_letters]
+    codes = base.encode(base.alphabet)
+    legal_centers = table.legal_coded(1)
+    pad = base.encode((padding,)) * radius
+    legal = sorted(table.legal_coded(2 * radius + 1))
+    padded = [pad + c + pad for c in codes if c not in legal_centers]
+    windows = legal + padded
+    check_budget(len(windows), max_letters)
+    known = set(windows)
+    apply = base.apply_coded
+    image_len = {c: len(apply(c)) for c in codes}
+    images: dict[str, tuple[str, ...]] = {}
+    i = 0
+    while i < len(windows):
+        w = windows[i]
+        i += 1
+        image = apply(w)
+        start = sum(image_len[c] for c in w[:radius])
+        images[w] = tuple(image[p - radius:p + radius + 1]
+                          for p in range(start, start + image_len[w[radius]]))
+        for v in images[w]:
+            if v not in known:
+                check_budget(len(windows) + 1, max_letters)
+                known.add(v)
+                windows.append(v)
 
-    known: dict[str, CollaredLetter] = {}
-    order: list[str] = []
-    worklist = []
-    for cl in legal_letters + padded:
-        tok = cl.token(base)
-        if tok not in known:
-            check_budget(len(known) + 1, max_letters)
-            known[tok] = cl
-            order.append(tok)
-            worklist.append(cl)
-    rules: dict[str, tuple[str, ...]] = {}
-    while worklist:
-        cl = worklist.pop(0)
-        tok = cl.token(base)
-        image = _image_letters(base, cl, radius)
-        image_tokens = []
-        for img in image:
-            itok = img.token(base)
-            if itok not in known:
-                check_budget(len(known) + 1, max_letters)
-                known[itok] = img
-                order.append(itok)
-                worklist.append(img)
-            image_tokens.append(itok)
-        rules[tok] = tuple(image_tokens)
-
-    def sort_key(tok):
-        cl = known[tok]
-        return (tuple(base.letter_index(x) for x in cl.context),
-                base.letter_index(cl.center))
-
-    alphabet = tuple(sorted(order, key=sort_key))
-    collared_sub = Substitution([(t, rules[t]) for t in alphabet], alphabet=alphabet)
+    windows.sort()
+    tokens: dict[str, str] = {}
+    letters: dict[str, CollaredLetter] = {}
+    for w in windows:
+        word = base.decode(w)
+        letter = CollaredLetter(word[radius], word)
+        token = letter.token(base)
+        if token in letters:
+            raise SymbolError(f"collared letters with contexts {letters[token].context} "
+                              f"and {word} share the token {token!r}")
+        tokens[w] = token
+        letters[token] = letter
+    collared_sub = Substitution(
+        [(tokens[w], tuple(tokens[v] for v in images[w])) for w in windows],
+        alphabet=tuple(letters))
     return CollaredSubstitution(
         base=base, radius=radius, padding=padding, sub=collared_sub,
-        letters=dict(known),
-        legal=frozenset(cl.token(base) for cl in legal_letters),
-        from_padding=frozenset(cl.token(base) for cl in padded),
-        table=table)
+        letters=letters,
+        legal=frozenset(tokens[w] for w in legal),
+        from_padding=frozenset(tokens[w] for w in padded),
+        table=table, tokens=tokens)
 
 
 def border_forcing_level(collared: CollaredSubstitution) -> int:
     """Least k with |sigma^k(a)| > N for every expanding letter, verified by
     checking that every legal collared letter has unique flanking letters
-    around its level-k supertile."""
+    around its level-k supertile.
+
+    The lengths come from |sigma^k(a)| = sum of |sigma^(k-1)(b)| over the
+    letters b of sigma(a), with no image built.  A flank is the last letter
+    of a predecessor's supertile or the first letter of a successor's.  The
+    last letter of sigma(w) is the last letter of sigma(w[-1]), so the last
+    letter of sigma^k(t) is last^k(t), for the map ``last`` sending a letter
+    to the last letter of its image; likewise for the first letter.  So the
+    check iterates those two letter maps k times and builds no supertile."""
     base = collared.base
     report = decide_tameness(base)
     if not report.tame:
@@ -152,13 +171,13 @@ def border_forcing_level(collared: CollaredSubstitution) -> int:
         raise BorderForcingError(
             f"radius {collared.radius} below the bounded-word bound {n_sigma}")
     classification = classify_letters(base)
+    lengths = {a: len(image) for a, image in base.rules.items()}
     k = 1
-    while True:
-        if all(len(base.iterate((a,), k)) > n_sigma for a in classification.expanding):
-            break
+    while not all(lengths[a] > n_sigma for a in classification.expanding):
         k += 1
         if k > 64:
             raise BorderForcingError("no expanding letter outgrows the bound")
+        lengths = {a: sum(lengths[b] for b in image) for a, image in base.rules.items()}
     _verify_forcing(collared, k)
     return k
 
@@ -169,10 +188,15 @@ def _verify_forcing(collared: CollaredSubstitution, level: int):
     for left, right in collared.transitions():
         succs[left].add(right)
         preds[right].add(left)
-    supertile = {tok: collared.sub.iterate((tok,), level) for tok in collared.legal}
+    rules = collared.sub.rules
+    first = {tok: tok for tok in collared.legal}
+    last = dict(first)
+    for _ in range(level):
+        first = {tok: rules[x][0] for tok, x in first.items()}
+        last = {tok: rules[x][-1] for tok, x in last.items()}
     for tok in sorted(collared.legal):
-        left_flanks = {supertile[p][-1] for p in preds[tok]}
-        right_flanks = {supertile[s][0] for s in succs[tok]}
+        left_flanks = {last[p] for p in preds[tok]}
+        right_flanks = {first[s] for s in succs[tok]}
         if len(left_flanks) != 1 or len(right_flanks) != 1:
             raise BorderForcingError(
                 f"supertile of {tok} admits non-unique flanking letters at level {level}")

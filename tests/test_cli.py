@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from substdyn import apcomplex, cis
 from substdyn.cli import main
 
 
@@ -127,6 +128,70 @@ def test_complex_dot(tmp_path, capsys):
     text = dot.read_text()
     assert text.count("->") == 7
     assert "color=" in text
+
+
+def test_complex_color_cis_builds_one_graph(tmp_path, capsys, monkeypatch):
+    builds = []
+    original = apcomplex._build_graph
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(apcomplex, "_build_graph", counted)
+    code, _, _ = run_cli(capsys, "complex", "corpus:fib_handle",
+                         "--dot", str(tmp_path / "out.dot"), "--color-cis")
+    assert code == 0
+    assert len(builds) == 1
+
+
+def test_complex_prints_its_json_before_a_lattice_error(tmp_path, capsys, monkeypatch):
+    dot = tmp_path / "out.dot"
+    monkeypatch.setattr(cis, "MAX_LATTICE_NODES", 2)
+    code, out, err = run_cli(capsys, "complex", "corpus:fib_handle",
+                             "--dot", str(dot), "--color-cis")
+    assert code == 1
+    assert len(json.loads(out)["edges"]) == 7
+    assert err == "error: lattice exceeded 2 nodes\n"
+    assert not dot.exists()
+
+
+def test_complex_under_a_letter_budget(tmp_path, capsys):
+    dot = tmp_path / "out.dot"
+    code, out, _ = run_cli(capsys, "--max-edges", "10", "complex", "corpus:fib_handle",
+                           "--dot", str(dot), "--color-cis")
+    assert code == 0
+    assert len(json.loads(out)["edges"]) == 7
+    assert "color=" in dot.read_text()
+    code, out, err = run_cli(capsys, "--max-edges", "10", "complex", "corpus:sigma_3",
+                             "--dot", str(dot), "--color-cis")
+    assert (code, out) == (4, "")
+    assert err == "error: collared alphabet exceeded 10 letters\n"
+
+
+def test_colliding_collared_tokens_exit_1(tmp_path, capsys):
+    # (a.c, c, y) and (a, c, c.y) both format to c|a.c.c.y
+    path = tmp_path / "dots.txt"
+    path.write_text("a.c -> a.c c y\nc -> c y a\na -> a c c.y\n"
+                    "c.y -> a.c c\ny -> a c.y\n")
+    for argv in (["complex", "--radius", "1", str(path)], ["analyze", str(path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == ("error: collared letters with contexts ('a.c', 'c', 'y') and "
+                       "('a', 'c', 'c.y') share the token 'c|a.c.c.y'\n")
+
+
+def test_vertex_labels_come_from_the_windows(tmp_path, capsys):
+    path = tmp_path / "dot.txt"
+    path.write_text("a -> a.\n. -> a\n")
+    code, out, _ = run_cli(capsys, "complex", "--radius", "1", str(path))
+    assert code == 0
+    assert json.loads(out)["vertices"] == ["a.", ".a", "aa"]
+    # a lone two-character letter at radius 0 has the empty boundary word
+    path.write_text("aa -> aa aa\n")
+    code, out, _ = run_cli(capsys, "complex", "--radius", "0", str(path))
+    assert code == 0
+    assert json.loads(out)["vertices"] == ["v"]
 
 
 def test_complex_wild_exit(capsys):
