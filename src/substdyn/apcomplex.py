@@ -7,7 +7,7 @@ edge to the edge path spelled by its rule image.  First cohomology of the
 inverse limit is presented as the direct limit of the transpose of the
 induced matrix on a fundamental cycle basis.  One routine, ``graph_h1``,
 computes that presentation for the complex and, in ``cis``, for every
-closed invariant subcomplex and every quotient by one.
+closed invariant subcomplex.
 """
 
 from __future__ import annotations

@@ -24,6 +24,12 @@ join-irreducible nodes below it (those that are not the union of the nodes
 strictly below them), and a lattice isomorphism is fixed by where it sends
 them (Birkhoff).  Comparing two lattices therefore tries the bijections of
 their join-irreducibles, not of all their nodes.
+
+Each node carries the cohomology of its subcomplex and the ranks of the
+cohomology of the whole complex with the node collapsed.  Only the
+subcomplexes get H1 presentations: the quotient ranks and the quotient
+arrows are read off the long exact sequences of the pair and of the triple
+(see ``enumerate_cis``).
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from . import intlin
 from .apcomplex import (APComplex, H1Presentation, Multigraph, build_complex,
                         graph_h1)
 from .classify import decide_tameness
@@ -206,16 +211,12 @@ class CISNode:
     period: int | None          # least t with image^t fixing this node
     h0_rank: int
     h1: H1Presentation | None   # None for the empty node
-    quotient_h0: int
-    quotient_h1: H1Presentation | None
+    quotient_h0: int            # components of the complex with this node collapsed
+    quotient_h1_rank: int       # H1 rank of that quotient, from the pair's sequence
 
     @property
     def h1_rank(self) -> int:
         return self.h1.limit.eventual_rank if self.h1 else 0
-
-    @property
-    def quotient_h1_rank(self) -> int:
-        return self.quotient_h1.limit.eventual_rank if self.quotient_h1 else 0
 
 
 @dataclass
@@ -229,9 +230,6 @@ class CISLattice:
     quotient_arrows: list[dict]
     exact: bool
     warnings: list[str] = field(default_factory=list)
-
-    def node(self, name: str) -> CISNode:
-        return next(n for n in self.nodes if n.name == name)
 
     def inclusion_h1_profile(self):
         return [n.h1_rank for n in self.nodes]
@@ -251,39 +249,6 @@ def _sub_multigraph(graph: Multigraph, edges):
                       tuple(graph.vertex_labels[v] for v in vertices))
 
 
-def _quotient_multigraph(graph: Multigraph, collapsed_edges):
-    """Collapse a subcomplex (edges and their vertices) to a single vertex;
-    with nothing to collapse this is the graph itself."""
-    collapsed_vertices = {graph.source[e] for e in collapsed_edges} | \
-                         {graph.target[e] for e in collapsed_edges}
-    edge_list = tuple(sorted(set(graph.edges) - set(collapsed_edges)))
-    keep = sorted({v for e in edge_list
-                   for v in (graph.source[e], graph.target[e])
-                   if v not in collapsed_vertices})
-    remap = {v: i for i, v in enumerate(keep)}
-    labels = [graph.vertex_labels[v] for v in keep]
-    star = None
-    if collapsed_edges:
-        star = len(keep)
-        labels.append("*")
-
-    def project(v):
-        return star if v in collapsed_vertices else remap[v]
-
-    return Multigraph(edge_list,
-                      {e: project(graph.source[e]) for e in edge_list},
-                      {e: project(graph.target[e]) for e in edge_list},
-                      tuple(labels))
-
-
-def _quotient_paths(collared, edges_kept, power):
-    out = {}
-    for e in edges_kept:
-        path = collared.sub.iterate((e,), power)
-        out[e] = tuple(x for x in path if x in edges_kept)
-    return out
-
-
 def _restricted_paths(collared, edges, power):
     out = {}
     for e in edges:
@@ -297,7 +262,7 @@ def _restricted_paths(collared, edges, power):
 def enumerate_cis(collared: CollaredSubstitution,
                   context: CanonicalizeContext | None = None) -> CISLattice:
     """The full lattice of canonical subcomplexes, with per-node direct-limit
-    presentations and quotient data, for a rule the session's
+    presentations and quotient ranks, for a rule the session's
     ``decide_tameness`` finds tame.
 
     The deletion closure needs no second pass under joins and meets.  A
@@ -305,7 +270,45 @@ def enumerate_cis(collared: CollaredSubstitution,
     the canonicalized union, and deflation keeps that inside the union.
     canonicalize(a & b) is canonical by idempotence.  Both lie below the
     top, and the deletion closure holds every canonical set below the top,
-    so it already holds both."""
+    so it already holds both.
+
+    The quotients are those of the whole complex X, every legal letter,
+    which is the top node unless the warning below says the top omits
+    some.  Write h0 and h1 for the ranks of the direct limits of H^0 and
+    H^1 under the map at the lattice power, where every node and X are
+    invariant, and met(S, B) for the number of B's components that S
+    meets (0 when S is empty).  A graph has no 2-cells, so H^2 = 0, and
+    for edge sets S ⊆ B the long exact sequence of the pair
+
+        0 -> H^0(B, S) -> H^0(B) -> H^0(S) -> H^1(B, S) -> H^1(B) -> H^1(S) -> 0
+
+    commutes with the maps the substitution induces.  A direct limit of
+    exact sequences is exact, so the ranks of the limits sum alternately
+    to zero.  H^0(B, S) is the functions on the components of B that S
+    misses, of rank h0(B) - met(S, B), so
+
+        rank H^1(B, S) = h0(S) - met(S, B) + h1(B) - h1(S).
+
+    For K nonempty H^k(X, K) is the reduced cohomology of the quotient X/K,
+    and for K empty it is that of X, so X/K has q0(K) = h0(X) - met(K, X)
+    components, plus the collapsed one when K is nonempty, and H1 rank
+    q1(K) = rank H^1(X, K).  For S ⊂ B the triple (X, B, S) gives the exact
+    H^1(X, B) -> H^1(X, S) -> H^1(B, S) -> 0, so the quotient arrow
+    X/S -> X/B has rank q1(S) - rank H^1(B, S).
+
+    The H0 ranks are raw component counts, and a count is the rank of the
+    direct limit when the map permutes the components.  For a node K of
+    period p, deflation gives K = canonicalize(image^p K) ⊆ image^p K, so
+    the p-fold image hits every component of K: an onto self-map of a
+    finite set, hence a bijection, and so is its power at the lattice
+    power.  For X, a point of the subshift is a shifted image of another
+    (its central words lie in images of legal words, and compactness
+    passes to the limit), so every legal collared letter lies in the image
+    of one and again every component is hit.  As K is invariant, the
+    permutation of X's components keeps those K meets among themselves,
+    so it permutes the rest, and H^0(X, K) has limit rank h0(X) - met(K, X)
+    too.  So each distinct edge set among the nodes and X gets one
+    component map and one H1 presentation, and the quotients none."""
     tameness = decide_tameness(collared.base)
     if not tameness.tame:
         raise WildInputError("invariant-subspace enumeration requires a tame substitution")
@@ -320,8 +323,9 @@ def enumerate_cis(collared: CollaredSubstitution,
     if not context.exact:
         warnings.append("legality did not stabilise at the margin order; "
                         "the lattice is exact only to that order")
-    top = context.canonicalize(frozenset(complex_.edges))
-    if top != frozenset(complex_.edges):
+    whole = frozenset(complex_.edges)
+    top = context.canonicalize(whole)
+    if top != whole:
         warnings.append("some legal letters are not on any bi-infinite path; "
                         "the top node omits them")
 
@@ -353,10 +357,30 @@ def enumerate_cis(collared: CollaredSubstitution,
     members = [k for k in members if periods[k] is not None]
     power = math.lcm(*(periods[k] for k in members))
 
+    # per nonempty edge set: its component count, its edges' component
+    # ids and its H1 presentation
+    counts, components, presentations = {}, {}, {}
+    for k in [*members, whole]:
+        if k and k not in counts:
+            sub_graph = _sub_multigraph(complex_.graph, k)
+            counts[k], comp = sub_graph.components()
+            components[k] = {e: comp[sub_graph.source[e]] for e in k}
+            presentations[k] = graph_h1(sub_graph, _restricted_paths(collared, k, power))
+
+    def h0(k):
+        return counts.get(k, 0)
+
+    def h1(k):
+        return presentations[k].limit.eventual_rank if k else 0
+
+    def met(small, big):
+        return len({components[big][e] for e in small})
+
+    def relative_h1(small, big, meets):
+        # rank of H^1(big, small), given met(small, big)
+        return h0(small) - meets + h1(big) - h1(small)
+
     nodes = []
-    q_graphs = {}
-    components = {}  # per node: its edges' component ids
-    graph = complex_.graph
     for idx, k in enumerate(members):
         if k == top:
             name = "omega"
@@ -364,27 +388,33 @@ def enumerate_cis(collared: CollaredSubstitution,
             name = "empty"
         else:
             name = f"cis_{idx}"
-        if k:
-            sub_graph = _sub_multigraph(graph, k)
-            count, comp = sub_graph.components()
-            components[name] = {e: comp[sub_graph.source[e]] for e in k}
-            h1 = graph_h1(sub_graph, _restricted_paths(collared, k, power))
-        else:
-            count, h1 = 0, None
-        q_graph = q_graphs[name] = _quotient_multigraph(graph, k)
-        if q_graph.edges:
-            q_count, _ = q_graph.components()
-            q_h1 = graph_h1(q_graph, _quotient_paths(collared, set(q_graph.edges), power))
-        else:
-            q_count, q_h1 = (1 if k else 0), None
+        meets = met(k, whole)
         nodes.append(CISNode(name=name, edges=k, period=periods[k],
-                             h0_rank=count, h1=h1,
-                             quotient_h0=q_count, quotient_h1=q_h1))
+                             h0_rank=h0(k), h1=presentations.get(k),
+                             quotient_h0=h0(whole) - meets + (1 if k else 0),
+                             quotient_h1_rank=relative_h1(k, whole, meets)))
 
-    order = [(a.name, b.name) for a in nodes for b in nodes
-             if a.edges < b.edges]
-    inclusion_arrows = _inclusion_arrows(nodes, components)
-    quotient_arrows = _quotient_arrows(nodes, q_graphs)
+    # the restriction H^1(big) -> H^1(small) is onto (H^2(big, small) = 0,
+    # and exact in the limit), so its rank is small's H1 rank; the H0 rank
+    # is the number of big's components that small meets.  The quotient
+    # arrow's rank is the triple's (see above)
+    order, inclusion_arrows, quotient_arrows = [], [], []
+    for small in nodes:
+        for big in nodes:
+            if not small.edges < big.edges:
+                continue
+            meets = met(small.edges, big.edges)
+            order.append((small.name, big.name))
+            inclusion_arrows.append({
+                "from": small.name, "to": big.name,
+                "h1_map_rank": small.h1_rank,
+                "h0_map_rank": meets,
+            })
+            quotient_arrows.append({
+                "from": small.name, "to": big.name,
+                "h1_map_rank": small.quotient_h1_rank
+                - relative_h1(small.edges, big.edges, meets),
+            })
     return CISLattice(collared=collared, complex=complex_, nodes=nodes,
                       order=order, power=power,
                       inclusion_arrows=inclusion_arrows,
@@ -406,81 +436,6 @@ def lattice_for(sub: Substitution, radius: int,
 
 def _lattice(sub: Substitution, radius: int, collared: CollaredSubstitution) -> CISLattice:
     return enumerate_cis(collared)
-
-
-def _limit_data(h1: H1Presentation | None, graph: Multigraph):
-    """A presentation's share of every limit map rank it enters: its cycles
-    by edge, its chord positions and A^dim; None when its rank is 0."""
-    if h1 is None or h1.rank == 0:
-        return None
-    return ([{e: c for e, c in zip(graph.edges, cycle) if c} for cycle in h1.basis],
-            {c: i for i, c in enumerate(h1.chord_edges)},
-            intlin.mat_pow([list(r) for r in h1.matrix], h1.rank))
-
-
-def _limit_data_rank(source, target, project):
-    """Rank of target_A^dim . projection . source_A^dim, from the two
-    presentations' ``_limit_data``."""
-    if source is None or target is None:
-        return 0
-    cycles, _, a_src = source
-    _, chord_index, a_tgt = target
-    proj = [[0] * len(cycles) for _ in range(len(chord_index))]
-    for j, vec in enumerate(cycles):
-        for e, coeff in project(vec).items():
-            if e in chord_index:
-                proj[chord_index[e]][j] = coeff
-    return intlin.rank(intlin.mat_mul(a_tgt, intlin.mat_mul(proj, a_src)))
-
-
-def _inclusion_arrows(nodes, components):
-    # ranks of the cohomology restriction maps, which run from the larger
-    # node K to the smaller one L.  For 1-dimensional complexes
-    # H^2(K, L) = 0, so restriction H^1(K) -> H^1(L) is onto; direct limits
-    # are exact and both nodes use the lattice power, so it stays onto in
-    # the limit and its rank is that of H^1(L).  The H0 rank is the number
-    # of K's components that L meets
-    arrows = []
-    for small in nodes:
-        for big in nodes:
-            if not small.edges < big.edges:
-                continue
-            arrows.append({
-                "from": small.name, "to": big.name,
-                "h1_map_rank": small.h1_rank,
-                "h0_map_rank": len({components[big.name][e] for e in small.edges}),
-            })
-    return arrows
-
-
-def _quotient_arrows(nodes, q_graphs):
-    # each node's quotient limit data, made once, and only for a node that
-    # some arrow with two nonzero ranks needs
-    limit_data = {}
-
-    def data_of(node):
-        if node.name not in limit_data:
-            limit_data[node.name] = _limit_data(node.quotient_h1, q_graphs[node.name])
-        return limit_data[node.name]
-
-    arrows = []
-    for small in nodes:
-        for big in nodes:
-            if not small.edges < big.edges:
-                continue
-            # quotient map Omega/small -> Omega/big collapses the extra edges
-            source, target = small.quotient_h1, big.quotient_h1
-            rank = 0
-            if source and target and source.rank and target.rank:
-                def project(vec, extra=big.edges):
-                    return {e: c for e, c in vec.items() if e not in extra}
-
-                rank = _limit_data_rank(data_of(small), data_of(big), project)
-            arrows.append({
-                "from": small.name, "to": big.name,
-                "h1_map_rank": rank,
-            })
-    return arrows
 
 
 @dataclass(frozen=True)

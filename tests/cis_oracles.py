@@ -1,17 +1,18 @@
 """Closed-invariant-subspace helpers that only the tests use, as oracles:
 one-shot canonicalization, the canonicalizations of every edge subset, the
 eventual range of the induced image map, the rank of a map between direct
-limits, the pairwise closure pass that ``enumerate_cis`` once ran after its
+limits, the quotient cohomology of each node read off its quotient graph,
+the pairwise closure pass that ``enumerate_cis`` once ran after its
 deletion closure, the lattice comparison over every node bijection, the
-covering pairs by a scan of every third node, and a lattice's nonempty
-proper nodes.
+covering pairs by a scan of every third node, a lattice's nonempty proper
+nodes, and a node by name.
 """
 
 import itertools
 
-from substdyn.apcomplex import build_complex
-from substdyn.cis import (CanonicalizeContext, CISLattice, Subcomplex, _limit_data,
-                          _limit_data_rank, edge_image)
+from substdyn import intlin
+from substdyn.apcomplex import Multigraph, build_complex, graph_h1
+from substdyn.cis import CanonicalizeContext, CISLattice, CISNode, Subcomplex, edge_image
 from substdyn.collar import CollaredSubstitution
 
 
@@ -67,9 +68,76 @@ def brute_force_canonical_sets(collared: CollaredSubstitution,
 
 def limit_map_rank(source_h1, source_graph, target_h1, target_graph, project):
     """Rank of the induced map between direct limits, computed as the rank
-    of target_A^dim . projection . source_A^dim."""
-    return _limit_data_rank(_limit_data(source_h1, source_graph),
-                            _limit_data(target_h1, target_graph), project)
+    of target_A^dim . projection . source_A^dim.  ``project`` sends a source
+    cycle, as a dict edge -> coefficient, to a chain of the target, which
+    is read in the target's chord coordinates."""
+    if not (source_h1 and source_h1.rank and target_h1 and target_h1.rank):
+        return 0
+    chord_index = {c: i for i, c in enumerate(target_h1.chord_edges)}
+    proj = [[0] * source_h1.rank for _ in range(target_h1.rank)]
+    for j, cycle in enumerate(source_h1.basis):
+        vec = {e: c for e, c in zip(source_graph.edges, cycle) if c}
+        for e, coeff in project(vec).items():
+            if e in chord_index:
+                proj[chord_index[e]][j] = coeff
+    a_src = intlin.mat_pow([list(r) for r in source_h1.matrix], source_h1.rank)
+    a_tgt = intlin.mat_pow([list(r) for r in target_h1.matrix], target_h1.rank)
+    return intlin.rank(intlin.mat_mul(a_tgt, intlin.mat_mul(proj, a_src)))
+
+
+def quotient_multigraph(graph: Multigraph, collapsed_edges):
+    """Collapse a subcomplex (edges and their vertices) to a single vertex;
+    with nothing to collapse this is the graph itself."""
+    collapsed_vertices = {graph.source[e] for e in collapsed_edges} | \
+                         {graph.target[e] for e in collapsed_edges}
+    edge_list = tuple(sorted(set(graph.edges) - set(collapsed_edges)))
+    keep = sorted({v for e in edge_list
+                   for v in (graph.source[e], graph.target[e])
+                   if v not in collapsed_vertices})
+    remap = {v: i for i, v in enumerate(keep)}
+    labels = [graph.vertex_labels[v] for v in keep]
+    star = None
+    if collapsed_edges:
+        star = len(keep)
+        labels.append("*")
+
+    def project(v):
+        return star if v in collapsed_vertices else remap[v]
+
+    return Multigraph(edge_list,
+                      {e: project(graph.source[e]) for e in edge_list},
+                      {e: project(graph.target[e]) for e in edge_list},
+                      tuple(labels))
+
+
+def quotient_paths(collared: CollaredSubstitution, edges_kept, power):
+    """The quotient's cellular map: each kept edge's power-fold image path
+    with the collapsed edges dropped."""
+    out = {}
+    for e in edges_kept:
+        path = collared.sub.iterate((e,), power)
+        out[e] = tuple(x for x in path if x in edges_kept)
+    return out
+
+
+def reference_quotient_ranks(lattice: CISLattice):
+    """Per node name: (H0 rank, H1 rank, graph, H1 presentation or None) of
+    the whole complex with the node collapsed, from that quotient graph,
+    its cycle basis and its direct limit at the lattice power, as
+    ``enumerate_cis`` computed them before it read them off the exact
+    sequences."""
+    graph = lattice.complex.graph
+    out = {}
+    for node in lattice.nodes:
+        q_graph = quotient_multigraph(graph, node.edges)
+        if q_graph.edges:
+            q0, _ = q_graph.components()
+            h1 = graph_h1(q_graph, quotient_paths(lattice.collared, set(q_graph.edges),
+                                                  lattice.power))
+        else:
+            q0, h1 = (1 if node.edges else 0), None
+        out[node.name] = (q0, h1.limit.eventual_rank if h1 else 0, q_graph, h1)
+    return out
 
 
 def closure_additions(family, context: CanonicalizeContext) -> list[Subcomplex]:
@@ -127,3 +195,8 @@ def nonempty_proper(lattice: CISLattice):
     """The nodes other than the whole complex and the empty one."""
     top = lattice.nodes[0].edges
     return [n for n in lattice.nodes if n.edges and n.edges != top]
+
+
+def node_named(lattice: CISLattice, name: str) -> CISNode:
+    """The lattice's node of that name; KeyError for an unknown one."""
+    return {n.name: n for n in lattice.nodes}[name]

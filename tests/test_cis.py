@@ -9,8 +9,7 @@ import pytest
 from substdyn import cis, intlin
 from substdyn.cis import (CanonicalizeContext, CISLattice, CISNode, diagram_compare,
                           edge_image, enumerate_cis, extend_substitution,
-                          _node_label, _order_isomorphism_exists, _quotient_arrows,
-                          _quotient_multigraph, _quotient_paths, _restricted_paths,
+                          _node_label, _order_isomorphism_exists, _restricted_paths,
                           _sub_multigraph)
 from substdyn.collar import collar
 from substdyn.core import parse_substitution
@@ -20,8 +19,9 @@ from substdyn.graphs import UnionFind
 from substdyn.language import LanguageTable
 
 from cis_oracles import (brute_force_canonical_sets, cis_canonicalize, closure_additions,
-                         eventual_range, hasse_pairs, limit_map_rank, nonempty_proper,
-                         permutation_order_isomorphism_exists)
+                         eventual_range, hasse_pairs, limit_map_rank, node_named,
+                         nonempty_proper, permutation_order_isomorphism_exists,
+                         quotient_multigraph, reference_quotient_ranks)
 from conftest import (reference_canonicalize, reference_graph_h1, reference_reduced_graph,
                       reference_tokens_of, reference_vertex_tokens, tame_lattices)
 from test_properties import SUBSTITUTIONS
@@ -464,18 +464,20 @@ def test_node_and_quotient_h1_match_reference(lattice_cases):
     for collared, lattice in lattice_cases[0] + lattice_cases[1]:
         graph = lattice.complex.graph
         # nothing collapsed: the quotient is the graph on its touched vertices
-        assert _quotient_multigraph(graph, frozenset()) == \
+        assert quotient_multigraph(graph, frozenset()) == \
             _sub_multigraph(graph, graph.edges)
+        quotients = reference_quotient_ranks(lattice)
         for node in lattice.nodes:
             if node.edges:
                 paths = _restricted_paths(collared, node.edges, lattice.power)
                 assert node.h1 == reference_graph_h1(
                     _sub_multigraph(graph, node.edges), paths)
                 checked += 1
-            q_graph = _quotient_multigraph(graph, node.edges)
+            q0, q1, q_graph, q_h1 = quotients[node.name]
+            assert (node.quotient_h0, node.quotient_h1_rank) == (q0, q1), node.name
             if q_graph.edges:
-                paths = _quotient_paths(collared, set(q_graph.edges), lattice.power)
-                assert node.quotient_h1 == reference_graph_h1(q_graph, paths)
+                paths = {e: collared.sub.iterate((e,), lattice.power) for e in q_graph.edges}
+                assert q_h1 == reference_graph_h1(q_graph, paths)
                 checked += 1
     assert checked >= 150
 
@@ -485,7 +487,8 @@ def test_inclusion_arrows_match_limit_map_oracle(lattice_cases):
     for _, lattice in corpus + seeded:
         graph = lattice.complex.graph
         for arrow in lattice.inclusion_arrows:
-            small, big = lattice.node(arrow["from"]), lattice.node(arrow["to"])
+            small = node_named(lattice, arrow["from"])
+            big = node_named(lattice, arrow["to"])
             s_graph = _sub_multigraph(graph, small.edges) if small.edges else None
             b_graph = _sub_multigraph(graph, big.edges)
             assert arrow["h1_map_rank"] == limit_map_rank(
@@ -503,14 +506,17 @@ def test_inclusion_arrows_match_limit_map_oracle(lattice_cases):
 def test_long_exact_sequence_of_each_node(lattice_cases):
     # the exact sequence of the pair (omega, node), with H^k(omega, node)
     # the reduced cohomology of the quotient, forces over Q:
-    # (q0 - 1) - h0(omega) + h0(node) - q1 + h1(omega) - h1(node) = 0
+    # (q0 - 1) - h0(omega) + h0(node) - q1 + h1(omega) - h1(node) = 0,
+    # with q0 and q1 read off each quotient graph
     corpus, seeded = lattice_cases
     checked = 0
     for _, lattice in corpus + seeded:
         omega = lattice.nodes[0]
+        quotients = reference_quotient_ranks(lattice)
         for node in nonempty_proper(lattice):
-            assert (node.quotient_h0 - 1) - omega.h0_rank + node.h0_rank \
-                - node.quotient_h1_rank + omega.h1_rank - node.h1_rank == 0, node.name
+            q0, q1 = quotients[node.name][:2]
+            assert (q0 - 1) - omega.h0_rank + node.h0_rank \
+                - q1 + omega.h1_rank - node.h1_rank == 0, node.name
             checked += 1
     assert sum(len(nonempty_proper(lattice)) for _, lattice in corpus) == 34
     assert checked > 34
@@ -538,52 +544,136 @@ def test_hasse_pairs_match_the_scan(lattice_cases):
     assert len(hasse_pairs(lattices[-1])) == 6 * 2 ** 5
 
 
-def reference_quotient_map_rank(graph, small, big):
-    """The quotient arrow's rank as computed per ordered pair before each
-    node's data was made once: both quotient graphs, both cycle bases and
-    both matrix powers rebuilt for the pair."""
-    source, target = small.quotient_h1, big.quotient_h1
-    if source is None or target is None or source.rank == 0 or target.rank == 0:
-        return 0
-    source_graph = _quotient_multigraph(graph, small.edges)
-    chord_index = {c: i for i, c in enumerate(target.chord_edges)}
-    proj = [[0] * source.rank for _ in range(target.rank)]
-    for j, cycle in enumerate(source.basis):
-        for i, e in enumerate(source_graph.edges):
-            if cycle[i] and e not in big.edges and e in chord_index:
-                proj[chord_index[e]][j] = cycle[i]
-    a_src = intlin.mat_pow([list(r) for r in source.matrix], source.rank)
-    a_tgt = intlin.mat_pow([list(r) for r in target.matrix], target.rank)
-    return intlin.rank(intlin.mat_mul(a_tgt, intlin.mat_mul(proj, a_src)))
+def assert_quotients_match_oracle(lattice):
+    """Every node's quotient ranks and every quotient arrow equal those
+    read off the quotient graphs; the number of arrows checked."""
+    quotients = reference_quotient_ranks(lattice)
+    for node in lattice.nodes:
+        assert (node.quotient_h0, node.quotient_h1_rank) == quotients[node.name][:2]
+    for arrow in lattice.quotient_arrows:
+        small, big = node_named(lattice, arrow["from"]), node_named(lattice, arrow["to"])
+        _, _, s_graph, s_h1 = quotients[small.name]
+        _, _, b_graph, b_h1 = quotients[big.name]
+
+        def project(vec, extra=big.edges):
+            # the map collapsing the extra edges
+            return {e: c for e, c in vec.items() if e not in extra}
+
+        assert arrow["h1_map_rank"] == limit_map_rank(s_h1, s_graph, b_h1, b_graph, project)
+    return len(lattice.quotient_arrows)
 
 
-def test_quotient_arrows_match_per_pair_reference(lattice_cases, monkeypatch):
-    calls = []
-    mat_pow = intlin.mat_pow
-
-    def counting(matrix, exponent):
-        calls.append(exponent)
-        return mat_pow(matrix, exponent)
-
+def test_quotient_arrows_match_per_pair_reference(lattice_cases):
     corpus, seeded = lattice_cases
-    checked = 0
-    for _, lattice in corpus + seeded:
-        graph = lattice.complex.graph
-        for arrow in lattice.quotient_arrows:
-            small, big = lattice.node(arrow["from"]), lattice.node(arrow["to"])
-            assert arrow["h1_map_rank"] == reference_quotient_map_rank(graph, small, big)
-            checked += 1
-        # each node's power is taken at most once per lattice
-        q_graphs = {node.name: _quotient_multigraph(graph, node.edges)
-                    for node in lattice.nodes}
-        monkeypatch.setattr(intlin, "mat_pow", counting)
-        calls.clear()
-        assert _quotient_arrows(lattice.nodes, q_graphs) == lattice.quotient_arrows
-        monkeypatch.undo()
-        assert len(calls) <= sum(1 for node in lattice.nodes
-                                 if node.quotient_h1 and node.quotient_h1.rank)
+    checked = sum(assert_quotients_match_oracle(lattice) for _, lattice in corpus + seeded)
     assert sum(len(lattice.quotient_arrows) for _, lattice in corpus) == 148
     assert checked > 148
+
+
+def test_enumerate_presents_each_edge_set_once_and_takes_no_rank(monkeypatch):
+    # the quotients are read off the exact sequences, so only the nodes and
+    # the whole complex get an H1 presentation, once per edge set, and no
+    # matrix rank is taken
+    from substdyn.classify import decide_tameness
+    presented, ranks = [], []
+    present, rank = cis.graph_h1, intlin.rank
+
+    def counting_h1(graph, on_edges):
+        presented.append(frozenset(graph.edges))
+        return present(graph, on_edges)
+
+    def counting_rank(matrix):
+        ranks.append(len(matrix))
+        return rank(matrix)
+
+    monkeypatch.setattr(cis, "graph_h1", counting_h1)
+    monkeypatch.setattr(intlin, "rank", counting_rank)
+    checked = 0
+    for entry in CORPUS.values():
+        sub = entry.substitution()
+        report = decide_tameness(sub)
+        if report.empty_subshift or not report.tame:
+            continue
+        presented.clear()
+        lattice = enumerate_cis(collar(sub, report.n_sigma))
+        allowed = {node.edges for node in lattice.nodes if node.edges}
+        allowed.add(frozenset(lattice.complex.edges))
+        assert len(presented) == len(set(presented)), entry.name
+        assert set(presented) <= allowed, entry.name
+        checked += 1
+    assert checked == 25
+    assert ranks == []
+
+
+def fibonacci_sum_summands(collared, copies):
+    """Per summand of ``fibonacci_sum(copies)``, its collared letters."""
+    letters = "abcdefghijklmnopqrstuvwxyz"[:2 * copies]
+    out = [set() for _ in range(copies)]
+    for e in collared.legal:
+        out[letters.index(collared.letters[e].center) // 2].add(e)
+    return [frozenset(s) for s in out]
+
+
+@pytest.mark.parametrize("copies", [2, 3, 4, 5, 6])
+def test_fibonacci_sum_known_answers(copies):
+    # the direct sum of k Fibonacci rules: a node made of j summands has
+    # j components and H1 rank 2j, its quotient is a wedge of the other
+    # k - j summands beside the collapsed one, so (q0, q1) =
+    # (k - j + 1, 2(k - j)), and the empty node's quotient is the whole
+    # complex, (k, 2k).  Collapsing more summands only kills the quotient's
+    # cycles of those summands, so a quotient arrow into a node of b
+    # summands has rank 2(k - b)
+    from substdyn.classify import decide_tameness
+    k = copies
+    sub = fibonacci_sum(k)
+    collared = collar(sub, decide_tameness(sub).n_sigma)
+    lattice = enumerate_cis(collared)
+    summands = fibonacci_sum_summands(collared, k)
+    assert len(lattice.nodes) == 2 ** k
+    count = {}
+    for node in lattice.nodes:
+        held = [s for s in summands if s <= node.edges]
+        assert node.edges == frozenset().union(*held)
+        j = count[node.name] = len(held)
+        if node.edges:
+            expected = (j, 2 * j, k - j + 1, 2 * (k - j))
+        else:
+            expected = (0, 0, k, 2 * k)
+        assert (node.h0_rank, node.h1_rank, node.quotient_h0,
+                node.quotient_h1_rank) == expected, node.name
+    for arrow in lattice.inclusion_arrows:
+        j = count[arrow["from"]]
+        assert (arrow["h0_map_rank"], arrow["h1_map_rank"]) == (j, 2 * j)
+    for arrow in lattice.quotient_arrows:
+        assert arrow["h1_map_rank"] == 2 * (k - count[arrow["to"]])
+    assert len(lattice.quotient_arrows) == 3 ** k - 2 ** k
+
+
+class InsideNode:
+    """A canonicalization confined to one node's edges: still monotone,
+    deflationary and idempotent, so its lattice is the part of the
+    context's below that node, whose top then omits legal letters."""
+
+    def __init__(self, inner, edges):
+        self.inner, self.edges, self.exact = inner, edges, inner.exact
+
+    def canonicalize(self, edge_set):
+        return self.inner.canonicalize(frozenset(edge_set) & self.edges)
+
+
+@pytest.mark.parametrize("name", ["two_components", "fib_plus_fixed",
+                                  "two_trib_bridge", "fib_handle"])
+def test_quotients_are_of_the_whole_complex_when_the_top_omits_letters(name):
+    from substdyn.classify import decide_tameness
+    sub = CORPUS[name].substitution()
+    collared = collar(sub, decide_tameness(sub).n_sigma)
+    context = CanonicalizeContext(collared)
+    inside = enumerate_cis(collared, context=context).nodes[1]
+    assert inside.edges
+    lattice = enumerate_cis(collared, context=InsideNode(context, inside.edges))
+    assert lattice.nodes[0].edges == inside.edges < frozenset(lattice.complex.edges)
+    assert any("the top node omits them" in w for w in lattice.warnings)
+    assert assert_quotients_match_oracle(lattice) > 0
 
 
 def test_closure_pass_adds_no_node(lattice_cases, monkeypatch):
@@ -636,7 +726,7 @@ def set_lattice(sets, marked=None):
     sets = sorted({frozenset(k) for k in sets}, key=lambda k: (-len(k), tuple(sorted(k))))
     nodes = [CISNode(name="omega" if i == 0 else "empty" if not k else f"cis_{i}",
                      edges=k, period=1, h0_rank=int(marked in k), h1=None,
-                     quotient_h0=0, quotient_h1=None)
+                     quotient_h0=0, quotient_h1_rank=0)
              for i, k in enumerate(sets)]
     order = [(a.name, b.name) for a in nodes for b in nodes if a.edges < b.edges]
     return CISLattice(collared=None, complex=None, nodes=nodes, order=order,
