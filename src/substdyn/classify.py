@@ -7,6 +7,24 @@ when it has finitely many bounded legal words; this is decided through the
 frontier maps r and l (rightmost/leftmost expanding letter of an image),
 whose orbits are eventually periodic: the substitution is wild iff a letter
 whose image ends (starts) in a bounded letter lies on an r-cycle (l-cycle).
+
+The seed search starts from the admitted shapes: an expanding letter, a
+bounded interior, an expanding letter.  They come from the rule, not from a
+table.  An admitted shape in sigma^k(a), k >= 1, lies inside one image
+sigma(c), or starts in sigma(x) and ends in sigma(y) for letters x before y
+of sigma^(k-1)(a).  Then, as its interior is bounded, its ends are the last
+expanding letter of sigma(x) and the first of sigma(y), and the letters u
+between x and y are bounded, as their images lie in that interior and an
+expanding letter's image holds an expanding letter.  So x u y is an admitted
+shape, and the shape is T(x u y) for the frontier step T: the last expanding
+letter of sigma(x) and its bounded tail, sigma(u), then the bounded head of
+sigma(y) and its first expanding letter.  T sends admitted shapes to
+admitted shapes, so they are the closure under T of the shapes between
+consecutive expanding letters of one image.  T never shortens a word, as no
+image is empty, so pruning the closure at a cap drops no shorter shape.  The
+cap stays ``tameness_table_length``: the seed is the least periodic pointed
+word the orbits reach, which is the least admitted one when that is no
+longer than the cap, and no shorter bound on its length is argued here.
 """
 
 from __future__ import annotations
@@ -224,42 +242,28 @@ class SeedResult:
     n_for_doubling: int
 
 
-def _pointed_shape_elements(sub, table, classification):
-    """Admitted pointed words: expanding endpoint, bounded interior,
-    expanding endpoint, with every interior separator position.  The
-    admitted words are filtered coded and only the survivors decoded."""
+def _frontier_closure(sub, classification, cap):
+    """The admitted pointed-word shapes of length <= cap, coded, and the
+    frontier step T on coded shapes: word -> (T(word), where it starts in
+    sigma(word)).  See the module docstring for why this is exact."""
     expanding = frozenset(sub.encode(classification.expanding))
-    bounded = sub.encode(classification.bounded)
-    elements = []
-    for length in range(2, table.max_length + 1):
-        # strip leaves nothing exactly when the interior is all bounded
-        shaped = sorted(coded for coded in table.admitted_coded(length)
-                        if coded[0] in expanding and coded[-1] in expanding
-                        and not coded[1:-1].strip(bounded))
-        for coded in shaped:
-            word = sub.decode(coded)
-            for origin in range(1, length):
-                elements.append(PointedWord(word, origin))
-    return elements
+    images = {c: sub.apply_coded(c) for c in sub.encode(sub.alphabet)}
+    marks = {c: [i for i, x in enumerate(image) if x in expanding]
+             for c, image in images.items()}
 
+    def step(word):
+        image = sub.apply_coded(word)
+        begin = marks[word[0]][-1]
+        end = len(image) - len(images[word[-1]]) + marks[word[-1]][0] + 1
+        return image[begin:end], begin
 
-def _seed_step(sub, classification, pointed: PointedWord) -> PointedWord:
-    left = sub.apply(pointed.word[:pointed.origin])
-    right = sub.apply(pointed.word[pointed.origin:])
-    word = left + right
-    origin = len(left)
-    first_len = len(sub.rules[pointed.word[0]])
-    last_len = len(sub.rules[pointed.word[-1]])
-    head = [i for i in range(first_len) if word[i] in classification.expanding]
-    tail = [len(word) - last_len + i for i in range(last_len)
-            if word[len(word) - last_len + i] in classification.expanding]
-    b_minus = head[-1]
-    b_plus = tail[0]
-    new_word = word[b_minus:b_plus + 1]
-    new_origin = origin - b_minus
-    if not 1 <= new_origin <= len(new_word) - 1:
-        raise WitnessError("seed iteration left the pointed-word family")
-    return PointedWord(new_word, new_origin)
+    shapes = {images[c][i:j + 1] for c in images
+              for i, j in zip(marks[c], marks[c][1:]) if j - i < cap}
+    frontier = shapes
+    while frontier:
+        frontier = {t for t, _ in map(step, frontier) if len(t) <= cap} - shapes
+        shapes |= frontier
+    return shapes, step
 
 
 def find_seed(sub: Substitution) -> SeedResult:
@@ -267,27 +271,32 @@ def find_seed(sub: Substitution) -> SeedResult:
     expanding seed letter b, and the least multiple N of the period with two
     occurrences of b in sigma^N(b).
 
-    The pointed words are the admitted words of the shape expanding letter,
-    bounded interior, expanding letter; that shape is checked on the coded
-    words, so only the words that have it are decoded, and the doubling
-    search counts b in coded iterates."""
+    The orbits start from every separator position of the admitted shapes
+    of length <= ``tameness_table_length(sub)``, the frontier closure of the
+    module docstring, which reads no language table; the cap is argued there.
+    The walk steps coded pointed words with the closure's step, and the
+    doubling search counts b in coded iterates."""
     report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("cannot seed an empty subshift")
     if not report.tame:
         raise WildInputError("seed search requires a tame substitution")
-    classification = report.classification
-    table = table_for(sub, tameness_table_length(sub))
-    elements = _pointed_shape_elements(sub, table, classification)
-    periodic: dict[PointedWord, int] = {}
-    step_cache: dict[PointedWord, PointedWord] = {}
+    shapes, frontier = _frontier_closure(sub, report.classification,
+                                         tameness_table_length(sub))
+    periodic: dict[tuple[str, int], int] = {}
+    step_cache: dict[tuple[str, int], tuple[str, int]] = {}
 
-    def step(p):
-        if p not in step_cache:
-            step_cache[p] = _seed_step(sub, classification, p)
-        return step_cache[p]
+    def step(pointed):
+        # the separator moves with sigma, then by where T(word) starts; it
+        # stays inside, as sigma(word[:origin]) holds all of sigma(word[0])
+        # and sigma(word[origin:]) all of sigma(word[-1])
+        if pointed not in step_cache:
+            word, origin = pointed
+            image, begin = frontier(word)
+            step_cache[pointed] = image, len(sub.apply_coded(word[:origin])) - begin
+        return step_cache[pointed]
 
-    for start in elements:
+    for start in ((word, origin) for word in shapes for origin in range(1, len(word))):
         orbit_index = {start: 0}
         orbit = [start]
         node = start
@@ -305,8 +314,10 @@ def find_seed(sub: Substitution) -> SeedResult:
             orbit.append(node)
     if not periodic:
         raise WitnessError("no pointed word is fixed by any power of the frontier map")
-    v = min(periodic, key=lambda p: (len(p.word), p.word, p.origin))
-    p = periodic[v]
+    decoded = {PointedWord(sub.decode(word), origin): period
+               for (word, origin), period in periodic.items()}
+    v = min(decoded, key=lambda p: (len(p.word), p.word, p.origin))
+    p = decoded[v]
     endpoints = (v.word[0], v.word[-1])
     for b in sorted(set(endpoints), key=sub.letter_index):
         b_code = sub.encode((b,))

@@ -41,9 +41,11 @@ sigma(v[0]), for an admitted v of length m, once every such v has
 floor((m - 1) / k) disjoint admitted k-blocks, each with an image of at
 least M_k letters (least over admitted k-words), so
 m = 1 + k * ceil((l - 1) / M_k), least over k <= BASE_CAP, will do.  Where
-m >= l (M_k <= k for all k, as for a -> a), the table's core at
-max_length + 1 serves l.  Primitive factor complexity is linear (Cassaigne
-1997), so the lifted sets stay small.
+m >= l (M_k <= k for all k, as for a -> a), the longest m < l derived so
+far (BASE_CAP at least) serves when every admitted v of length m has
+|sigma(v[1:])| >= l - 1, checked word by word; only where it fails does the
+table's core at max_length + 1 serve l.  Primitive factor complexity is
+linear (Cassaigne 1997), so the lifted sets stay small.
 
 Legal words are factors of bi-infinite sequences of the subshift.  A word
 of length l is accepted when it lies on a bi-infinite path of the Rauzy
@@ -282,6 +284,11 @@ class _PrimitiveWords:
             return self._base._admitted_exact_length(length, keep=BASE_CAP)
         apply = self.sub.apply_coded
         m = min(1 + k * -(-(length - 1) // least) for k, least in self._least.items())
+        if m >= length:
+            # the longest length derived below, checked directly
+            m = max(n for n in (BASE_CAP, *self._words) if n < length)
+            if any(len(apply(v[1:])) < length - 1 for v in self.admitted(m, table)):
+                m = length
         if m >= length:
             return table._core._admitted_exact_length(length, keep=table.max_length)
         words = set()

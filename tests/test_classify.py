@@ -3,7 +3,8 @@ import random
 import pytest
 
 from substdyn import corpus
-from substdyn.classify import (WildWitness, _pointed_shape_elements, classify_letters,
+from substdyn import classify, language
+from substdyn.classify import (WildWitness, _frontier_closure, classify_letters,
                                decide_tameness, find_seed, frontier_maps, is_minimal,
                                tameness_table_length, wild_periodic_word)
 from substdyn.core import PointedWord, parse_substitution
@@ -12,7 +13,7 @@ from substdyn.errors import WildInputError, WitnessError
 from substdyn.language import LanguageTable, periodic_point_search, session, table_for
 
 from conftest import (brute_bounded_letters, brute_iterate, random_minimal_nonprimitive,
-                      retoken)
+                      random_substitution, retoken)
 
 
 def test_classification_examples(wild_ab):
@@ -158,20 +159,49 @@ def _reference_pointed_shape_elements(table, classification):
     return elements
 
 
+def _closure_elements(sub, classification):
+    shapes, _ = _frontier_closure(sub, classification, tameness_table_length(sub))
+    return [PointedWord(sub.decode(word), origin)
+            for word in shapes for origin in range(1, len(word))]
+
+
 def _assert_coded_shape_filter_matches(sub):
+    # the frontier closure gives the admitted shapes the table oracle reads
     report = decide_tameness(sub)
     table = LanguageTable(sub, tameness_table_length(sub))
-    coded = _pointed_shape_elements(sub, table, report.classification)
+    coded = _closure_elements(sub, report.classification)
     reference = _reference_pointed_shape_elements(table, report.classification)
     assert len(coded) == len(set(coded))
     assert set(coded) == set(reference) and len(coded) == len(reference)
     return reference
 
 
-@pytest.mark.parametrize("name", [name for name in corpus.names()
-                                  if name not in ("wild_ab", "empty_swap")])
+TAME_CORPUS = [name for name in corpus.names() if name not in ("wild_ab", "empty_swap")]
+
+
+@pytest.mark.parametrize("name", TAME_CORPUS)
 def test_coded_shape_filter_matches_decoded_on_corpus(name):
     _assert_coded_shape_filter_matches(corpus.get(name))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_frontier_closure_matches_decoded_on_sigma_family(n):
+    _assert_coded_shape_filter_matches(sigma_family(n))
+
+
+def _seeded_tame_nonprimitive(count, seed):
+    """Distinct seeded tame, non-primitive rules of 1-4 letters with a
+    nonempty subshift."""
+    rng = random.Random(seed)
+    out = {}
+    while len(out) < count:
+        sub = random_substitution(rng, max_letters=4)
+        if sub.is_primitive() or sub.to_text() in out:
+            continue
+        report = decide_tameness(sub)
+        if report.tame and not report.empty_subshift:
+            out[sub.to_text()] = sub
+    return list(out.values())
 
 
 def test_coded_shape_filter_matches_decoded_on_seeded_rules():
@@ -181,6 +211,70 @@ def test_coded_shape_filter_matches_decoded_on_seeded_rules():
         sub = random_minimal_nonprimitive(rng)
         assert _assert_coded_shape_filter_matches(sub)
         assert _assert_coded_shape_filter_matches(retoken(sub, names))
+    for sub in _seeded_tame_nonprimitive(40, 2026):
+        _assert_coded_shape_filter_matches(sub)
+
+
+def _assert_frontier_step_lemma(sub):
+    # T never shortens a pointed word, carries it into the shape family, and
+    # sends every admitted shape (the table oracle's) to an admitted shape
+    report = decide_tameness(sub)
+    classification = report.classification
+    cap = tameness_table_length(sub)
+    reference = _reference_pointed_shape_elements(LanguageTable(sub, cap), classification)
+    _, step = _frontier_closure(sub, classification, cap)
+    images = {}
+    for shape in {pointed.word for pointed in reference}:
+        coded = sub.encode(shape)
+        image, begin = step(coded)
+        assert len(image) >= len(coded)
+        assert 0 <= begin < len(sub.apply_coded(coded[0]))
+        word = sub.decode(image)
+        assert word[0] in classification.expanding and word[-1] in classification.expanding
+        assert all(x in classification.bounded for x in word[1:-1])
+        images[shape] = word
+    oracle = LanguageTable(sub, max(map(len, images.values()), default=1))
+    for word in set(images.values()):
+        assert word in set(oracle.admitted(len(word))), (sub.to_text(), word)
+    return len(images)
+
+
+@pytest.mark.parametrize("name", TAME_CORPUS)
+def test_frontier_step_lemma_on_corpus(name):
+    assert _assert_frontier_step_lemma(corpus.get(name))
+
+
+def test_frontier_step_lemma_on_seeded_rules():
+    for sub in _seeded_tame_nonprimitive(40, 2026):
+        assert _assert_frontier_step_lemma(sub)
+
+
+def test_find_seed_reads_no_language_table(monkeypatch):
+    # after the tameness decision, the seed search builds its shapes from
+    # the rule alone: no table lookup and no admitted set, on every tame
+    # corpus entry, primitive or not
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(classify, "table_for")
+    counted(language, "table_for")
+    counted(language._LanguageCore, "_admitted_exact_length")
+    counted(language._PrimitiveWords, "_derive")
+    assert len(TAME_CORPUS) == 25
+    for name in TAME_CORPUS:
+        sub = corpus.get(name)
+        with session():
+            decide_tameness(sub)
+            calls.clear()
+            find_seed(sub)
+            assert calls == [], (name, calls)
 
 
 def _analyze_table_single_orbit(sub, word):

@@ -373,6 +373,7 @@ def _primitive_sample(count=300, seed=20261020):
 PRIMITIVE_ENTRIES = [name for name, entry in CORPUS.items()
                      if entry.substitution().is_primitive()]
 FALLBACK_RULE = "a -> cdc\nb -> ceed\nc -> f\nd -> eae\ne -> d\nf -> b\n"
+LONG_RUN_RULE = "a -> ba\nb -> f\nc -> d\nd -> eb\ne -> af\nf -> cc\n"
 
 
 def _lift_length(sub):
@@ -416,21 +417,25 @@ def test_lifted_lengths_match_the_iteration_on_corpus_thetas():
     assert thetas
 
 
-@pytest.mark.parametrize("text", ["a -> a\n", FALLBACK_RULE],
-                         ids=["fixed_letter", "short_images"])
+@pytest.mark.parametrize("text", ["a -> a\n", FALLBACK_RULE, LONG_RUN_RULE],
+                         ids=["fixed_letter", "short_images", "long_run"])
 def test_lifted_lengths_match_the_iteration_where_the_lift_falls_back(text):
+    # the block bound gives no m for some lengths of these rules; the first
+    # two lift them by the direct check, the last falls back at length 8
     _assert_lift_matches_the_iteration(parse_substitution(text))
 
 
 @pytest.mark.parametrize("text, falls_back", [
-    ("a -> a\n", True), (FALLBACK_RULE, True), ("a -> ab\nb -> a\n", False),
-    ("a -> ab\nb -> ac\nc -> a\n", False)],
-    ids=["fixed_letter", "short_images", "fibonacci", "tribonacci"])
+    ("a -> a\n", False), (FALLBACK_RULE, False), (LONG_RUN_RULE, True),
+    ("a -> ab\nb -> a\n", False), ("a -> ab\nb -> ac\nc -> a\n", False)],
+    ids=["fixed_letter", "short_images", "long_run", "fibonacci", "tribonacci"])
 def test_the_lift_falls_back_to_the_table_core(text, falls_back, monkeypatch):
-    # a -> a admits no word past length 1, so no block bounds m; the short
-    # images of FALLBACK_RULE keep M_k <= k up to k = 4, so the block bound
-    # gives no m below 11 for length 11.  Fibonacci and tribonacci lift
-    # every length past BASE_CAP.
+    # a -> a admits no word past length 1, so no block bounds m, and the
+    # short images of FALLBACK_RULE keep M_k <= k up to k = 4, so the block
+    # bound gives no m below 11 for length 11; in both the length below
+    # passes the direct check.  LONG_RUN_RULE admits cccccc, whose letters
+    # have one-letter images, so no m < 8 serves length 8.
+    # Fibonacci and tribonacci lift every length past BASE_CAP.
     sub = parse_substitution(text)
     table = LanguageTable(sub, 30)
     caps = []
@@ -444,6 +449,41 @@ def test_the_lift_falls_back_to_the_table_core(text, falls_back, monkeypatch):
     for length in range(table._cap + 1):
         table.admitted_coded(length)
     assert caps == ([table._cap] if falls_back else [])
+
+
+def test_the_lift_falls_back_on_few_rules(monkeypatch):
+    # the distinct rules of the lift tests, reading every length up to the
+    # lift length in turn: 10 fell back to the table core with the block
+    # bound alone, and the direct check of the length below lifts all but
+    # two that admit a 6-letter word of one-letter images
+    thetas = []
+    for entry in CORPUS.values():
+        try:
+            thetas.append(primitivize(entry.substitution()).theta)
+        except SubstdynError:
+            pass
+    rules = {sub.to_text(): sub for sub in
+             _primitive_sample() + [CORPUS[name].substitution() for name in PRIMITIVE_ENTRIES]
+             + thetas + [parse_substitution(text) for text in ("a -> a\n", FALLBACK_RULE)]}
+    cores = []
+    compute = language._LanguageCore._compute_admitted
+
+    def counting(self):
+        cores.append(self._cap)
+        return compute(self)
+
+    monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
+    fell_back = []
+    for text, sub in rules.items():
+        top = _lift_length(sub)
+        table = LanguageTable(sub, top)
+        cores.clear()
+        for length in range(top + 2):
+            table.admitted_coded(length)
+        if table._cap in cores:
+            fell_back.append(text)
+    assert len(rules) == 325
+    assert LONG_RUN_RULE in fell_back and len(fell_back) == 2, fell_back
 
 
 def test_fixed_letter_admits_its_letter_alone():
