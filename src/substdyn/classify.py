@@ -344,13 +344,6 @@ class MinimalityResult:
     bound: int | None = None
 
 
-def _contains(word: Word, factor: Word) -> bool:
-    if not factor:
-        return True
-    return any(word[i:i + len(factor)] == factor
-               for i in range(len(word) - len(factor) + 1))
-
-
 def _recurrence_constant(table: LanguageTable) -> int | None:
     """Least C <= 8 such that every legal word longer than C|u|
     contains every legal u, checked to the table bound; requires at least
@@ -422,8 +415,9 @@ def is_minimal(sub: Substitution, table: LanguageTable | None = None,
             big = max(nonempty, key=lambda node: len(node.edges))
             outside_edges = sorted(big.edges - small.edges)
             u = lattice.collared.letters[outside_edges[0]].context
-            v = next((w for w in table.legal(table.max_length)
-                      if not _contains(w, u)), None)
+            coded_u = sub.encode(u)
+            v = min((sub.decode(w) for w in table.legal_coded(table.max_length)
+                     if coded_u not in w), default=None)
             witness = (u, v) if v is not None else None
             return MinimalityResult("no", witness=witness,
                                     reason="two distinct nonempty closed invariant subspaces")

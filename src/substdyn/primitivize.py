@@ -11,6 +11,19 @@ The return-word search stays on coded words (one character per letter, see
 ``core``), and each round maps by one ``str.translate`` a short stand-in
 for the iterate of sigma^N(b), not the iterate (see ``return_words``).
 Only the words that the returned ``ReturnWordSystem`` holds are decoded.
+
+``verify_conjugacy`` runs on coded words too.  One ``str.translate`` table
+maps a theta window to its sigma-window through h; the window is parsed by
+splitting on the coded seed letter, and each coded return word maps to its
+coded zeta-expansion, one theta letter per (gamma, k), so "the parse
+inverts h" is one string comparison.  A window's intertwining verdict is a
+function of its run of whole return words, the sigma-word from its first
+seed letter to its last: theta of the run's expansion and the parse of
+sigma^(N*lift) of the run depend on nothing else.  So each distinct run is
+checked once per call, and every window still counts its own check.  With
+one letter per zeta letter the factor test of intertwining is aligned; the
+token-string test it replaced joined tokens (``abb:1abb:2``), and a joined
+string can match across token boundaries.
 """
 
 from __future__ import annotations
@@ -52,10 +65,6 @@ class ReturnWordSystem:
     @property
     def r0(self) -> int:
         return len(self.seed_blocks)
-
-
-def _occurrences(word: Word, letter: str) -> list[int]:
-    return [i for i, x in enumerate(word) if x == letter]
 
 
 # Letters an iterate may have before the return-word scan gives up.
@@ -270,39 +279,29 @@ def build_theta(ds: DerivedSubstitution, max_lift: int = 10) -> ConjugateSubstit
     psi = ds.psi
     alpha = ds.alpha
     lift = 1
-    while any(len(psi.power(lift).rules[g]) < len(alpha[g]) for g in psi.alphabet):
+    lifted = psi
+    while any(len(lifted.rules[g]) < len(alpha[g]) for g in psi.alphabet):
         lift += 1
         if lift > max_lift:
             raise BlockShortfallError(
                 "psi images stay shorter than their return words after power lifting")
-    lifted = psi.power(lift) if lift > 1 else psi
-    zeta_letters = []
-    positions = {}
-    h = {}
-    for g in psi.alphabet:
-        for k in range(1, len(alpha[g]) + 1):
-            z = _zeta_token(g, k)
-            zeta_letters.append(z)
-            positions[z] = (g, k)
-            h[z] = alpha[g][k - 1]
+        lifted = psi.power(lift)
+    # each gamma letter's zeta-expansion, its per-position letters in order
+    zetas = {g: tuple(_zeta_token(g, k) for k in range(1, len(alpha[g]) + 1))
+             for g in psi.alphabet}
+    positions = {z: (g, k) for g in psi.alphabet for k, z in enumerate(zetas[g], 1)}
+    h = {z: alpha[g][k - 1] for z, (g, k) in positions.items()}
 
     def expansion(gamma_word):
-        out = []
-        for g in gamma_word:
-            out.extend(_zeta_token(g, k) for k in range(1, len(alpha[g]) + 1))
-        return tuple(out)
+        return tuple(itertools.chain.from_iterable(map(zetas.__getitem__, gamma_word)))
 
     rules = []
     for g in psi.alphabet:
         image = lifted.rules[g]
         size = len(alpha[g])
-        for k in range(1, size + 1):
-            z = _zeta_token(g, k)
-            if k < size:
-                rules.append((z, expansion(image[k - 1:k])))
-            else:
-                rules.append((z, expansion(image[size - 1:])))
-    theta = Substitution(rules, alphabet=tuple(zeta_letters))
+        for k, z in enumerate(zetas[g], 1):
+            rules.append((z, expansion(image[k - 1:k] if k < size else image[size - 1:])))
+    theta = Substitution(rules, alphabet=tuple(positions))
     if not theta.is_primitive():
         raise PrimitivityError("letter-expansion refinement lost primitivity")
     return ConjugateSubstitution(
@@ -320,28 +319,13 @@ class ConjugacyReport:
     counterexample: tuple | None = None
 
 
-def _parse_return_positions(word: Word, seed_letter: str, by_word: dict[Word, str]):
-    """Sliding-block parse of a window: positions covered by a complete
-    return word get the (gamma letter, offset) code; others get None."""
-    positions = _occurrences(word, seed_letter)
-    codes: list[tuple[str, int] | None] = [None] * len(word)
-    for idx in range(len(positions) - 1):
-        start, end = positions[idx], positions[idx + 1]
-        block = word[start:end]
-        gamma = by_word.get(block)
-        if gamma is None:
-            return None  # not a return word: window corrupt
-        for offset in range(end - start):
-            codes[start + offset] = (gamma, offset + 1)
-    return codes
-
-
 def verify_conjugacy(sub: Substitution, cs: ConjugateSubstitution,
                      depth: int = 6) -> ConjugacyReport:
     """Sampled checks that h carries the refined subshift onto the original
     one: h-images of legal windows are legal, the sliding-block parse
     inverts h on window interiors, and the parse intertwines sigma^(N*lift)
-    with theta."""
+    with theta.  Windows go in ``legal(depth)`` order and run coded; the
+    intertwining verdict is kept per run of whole return words."""
     ds = cs.derived
     rws = ds.system
     n_total = rws.power * cs.power_lift
@@ -349,84 +333,71 @@ def verify_conjugacy(sub: Substitution, cs: ConjugateSubstitution,
     theta_table = table_for(theta, depth)
     if theta_table.empty_subshift:
         raise EmptySubshiftError("refined substitution has an empty subshift")
-    table = table_for(sub, depth * cs.p_block_size + len(rws.head) + 2)
-    by_word = {v: _gamma_token(sub, v) for v in rws.return_words}
-    power_sub = sub.power(n_total)
+    legal = table_for(sub, depth * cs.p_block_size + len(rws.head) + 2).legal_coded(depth)
+    h_code = str.maketrans({theta.encode((z,)): sub.encode((a,)) for z, a in cs.h.items()})
+    # the code letters ranked as their tokens sort: legal(depth) order, coded
+    rank = str.maketrans({theta.encode((z,)): chr(i)
+                          for i, z in enumerate(sorted(theta.alphabet))})
+    zeta = {position: z for z, position in cs.positions.items()}
+    # each coded return word's coded zeta-expansion, one theta letter per (gamma, k)
+    expansion = {sub.encode(v): theta.encode([zeta[g, k] for k in range(1, len(v) + 1)])
+                 for g, v in ds.alpha.items()}
+    b_code = sub.encode((rws.seed_letter,))
+
+    def parse(coded):
+        """Where the first seed letter is, and the coded zeta-expansion of
+        the whole return words from it; None if a block is no return word."""
+        head, *tails = coded.split(b_code)
+        words = [expansion.get(b_code + tail) for tail in tails[:-1]]
+        return None if None in words else (len(head), "".join(words))
+
+    def intertwines(run, parsed):
+        """Whether the parse of sigma^(N*lift)(run) is an aligned factor of
+        theta(parsed); None when the run is empty or too little of its
+        image parses.  Boundary letters may be unparsed."""
+        if not run:
+            return None
+        expected = theta.apply_coded(parsed)
+        parsing = parse(sub.apply_coded(run, n_total))
+        if parsing is None:
+            return False
+        actual = parsing[1]
+        if actual and actual not in expected:
+            return False
+        if len(actual) < len(expected) // 2:
+            return None  # too little parsed to be meaningful
+        return True
+
     checks = {"h_legal": 0, "parse_inverts": 0, "intertwine": 0}
-    windows = 0
-    for z_word in theta_table.legal(depth):
-        windows += 1
-        image = tuple(cs.h[z] for z in z_word)
-        if not table.is_legal(image):
-            return ConjugacyReport(False, depth, windows, checks,
-                                   counterexample=("h_legal", z_word, image))
+    verdicts = {}   # run of whole return words -> intertwining verdict
+    windows = sorted(theta_table.legal_coded(depth), key=lambda w: w.translate(rank))
+    for count, z_word in enumerate(windows, 1):
+        image = z_word.translate(h_code)
+        if image not in legal:
+            kind, *detail = "h_legal", sub.decode(image)
+            break
         checks["h_legal"] += 1
-        codes = _parse_return_positions(image, rws.seed_letter, by_word)
-        if codes is None:
-            return ConjugacyReport(False, depth, windows, checks,
-                                   counterexample=("parse", z_word, image))
-        for j, code in enumerate(codes):
-            if code is None:
-                continue
-            gamma, offset = code
-            expected = _zeta_token(gamma, offset)
-            if z_word[j] != expected:
-                return ConjugacyReport(False, depth, windows, checks,
-                                       counterexample=("parse_inverts", z_word, j, expected))
+        parsing = parse(image)
+        if parsing is None:
+            kind, *detail = "parse", sub.decode(image)
+            break
+        start, parsed = parsing
+        if z_word[start:start + len(parsed)] != parsed:
+            j = next(j for j, (x, y) in enumerate(zip(z_word[start:], parsed)) if x != y)
+            kind, *detail = "parse_inverts", start + j, theta.decode(parsed[j])[0]
+            break
         checks["parse_inverts"] += 1
-        # intertwining on the window: the image of a parsed return-word run
-        # under sigma^(N*lift) must parse to theta of its code
-        ok = _check_intertwine(power_sub, cs, codes, by_word)
-        if ok is False:
-            return ConjugacyReport(False, depth, windows, checks,
-                                   counterexample=("intertwine", z_word, image))
+        run = image[start:start + len(parsed)]
+        if run not in verdicts:
+            verdicts[run] = intertwines(run, parsed)
+        if verdicts[run] is False:
+            kind, *detail = "intertwine", sub.decode(image)
+            break
         checks["intertwine"] += 1
-    return ConjugacyReport(True, depth, windows, checks)
-
-
-def _check_intertwine(power_sub, cs, codes, by_word):
-    rws = cs.derived.system
-    theta = cs.theta
-    # locate maximal parsed run of complete return words
-    starts = [j for j, code in enumerate(codes) if code is not None and code[1] == 1]
-    if not starts:
-        return None
-    run_gammas = []
-    run_start = starts[0]
-    cursor = run_start
-    while cursor < len(codes) and codes[cursor] is not None and codes[cursor][1] == 1:
-        gamma = codes[cursor][0]
-        run_gammas.append(gamma)
-        cursor += len(cs.derived.alpha[gamma])
-    if not run_gammas:
-        return None
-    # expected: theta applied to the zeta-expansion of the run
-    expansion = []
-    for gamma in run_gammas:
-        expansion.extend(_zeta_token(gamma, k)
-                         for k in range(1, len(cs.derived.alpha[gamma]) + 1))
-    expected = theta.apply(tuple(expansion))
-    # actual: substitute the run and parse it back
-    run_word = tuple(itertools.chain.from_iterable(
-        cs.derived.alpha[gamma] for gamma in run_gammas))
-    image_word = power_sub.apply(run_word)
-    parsed = _parse_return_positions(image_word, rws.seed_letter, by_word)
-    if parsed is None:
-        return False
-    actual = []
-    for j, code in enumerate(parsed):
-        if code is None:
-            continue
-        actual.append(_zeta_token(code[0], code[1]))
-    # the parsed interior of sigma^(N)(run) must appear inside theta(run
-    # expansion) as an aligned factor; boundary letters may be unparsed
-    expected_str = "".join(expected)
-    actual_str = "".join(actual)
-    if actual and actual_str not in expected_str:
-        return False
-    if len(actual) < len(expected) // 2:
-        return None  # too little parsed to be meaningful
-    return True
+    else:
+        return ConjugacyReport(True, depth, len(windows), checks)
+    return ConjugacyReport(False, depth, count, checks,
+                           counterexample=(kind, theta.decode(z_word), *detail))
 
 
 def primitivize(sub: Substitution, depth: int = 6):

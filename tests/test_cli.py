@@ -1,4 +1,6 @@
 import json
+import random
+import shutil
 
 import pytest
 
@@ -570,3 +572,40 @@ def test_primitivize_closes_the_words_found_before_the_scan_budget(tmp_path, cap
     data = json.loads(out)
     assert len(data["return_words"]) == 7
     assert data["verification"]["ok"] is True
+
+
+def _seeded_rule_texts(count, seed):
+    """Rule files of 2-4 letters with images of 1-4 letters."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        letters = "abcd"[:rng.randint(2, 4)]
+        texts.append("".join(
+            f"{a} -> {''.join(rng.choice(letters) for _ in range(rng.randint(1, 4)))}\n"
+            for a in letters))
+    return texts
+
+
+def _run_with_files(capsys, out_dir, *argv):
+    """Exit code, stdout, stderr and the files written to ``out_dir``,
+    which is removed afterwards."""
+    code, out, err = run_cli(capsys, *argv)
+    files = {path.name: path.read_bytes() for path in sorted(out_dir.glob("*"))}
+    shutil.rmtree(out_dir, ignore_errors=True)
+    return code, out, err, files
+
+
+def test_cli_fuzz_exits_cleanly_and_repeats(capsys, tmp_path):
+    # no exception escapes main on seeded rules, and a rerun repeats every byte
+    out_dir = tmp_path / "out"
+    codes = set()
+    for i, text in enumerate(_seeded_rule_texts(100, 1)):
+        rule = tmp_path / f"rule{i}.txt"
+        rule.write_text(text)
+        for argv in (("analyze", str(rule)),
+                     ("primitivize", str(rule), "--out-dir", str(out_dir))):
+            first, second = (_run_with_files(capsys, out_dir, *argv) for _ in range(2))
+            assert first[0] in range(5), (text, argv[0], first[2])
+            assert first == second, (text, argv[0])
+            codes.add(first[0])
+    assert {0, 1, 2} <= codes

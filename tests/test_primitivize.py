@@ -12,10 +12,12 @@ from substdyn.core import Substitution, parse_substitution
 from substdyn.corpus import sigma_family
 from substdyn.errors import (BlockPrefixError, DerivedLengthError, EmptySubshiftError,
                              NonClosureError, SubstdynError)
+from substdyn.language import session, table_for
 from substdyn.primitivize import (BlockForm, ConjugateSubstitution, ReturnWordSystem,
                                   _close_coded, build_psi, build_theta, primitivize,
                                   return_words, verify_conjugacy)
 import intlin_oracles as intlin
+from primitivize_oracles import reference_verify_conjugacy
 
 from conftest import random_minimal_nonprimitive, retoken
 
@@ -389,3 +391,121 @@ def test_return_words_decode_only_the_system(monkeypatch):
         + sum(map(len, rws.primed_last.values())) + sum(map(len, rws.primed_w.values()))
         + len(rws.primed_seed_last))
     assert sum(decoded) <= system_letters
+
+
+# -- the token-based conjugacy check that the coded one replaced -----------
+
+def _conjugate(sub):
+    """theta and h for ``sub``, unverified."""
+    return build_theta(build_psi(sub, return_words(sub)))
+
+
+def _assert_report_matches_oracle(sub, cs, depth=6):
+    """The whole report, counterexample included, or the same error."""
+    outcomes = []
+    for verify in (verify_conjugacy, reference_verify_conjugacy):
+        try:
+            outcomes.append(verify(sub, cs, depth=depth))
+        except SubstdynError as exc:
+            outcomes.append(repr(exc))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("name", [name for name in corpus.names()
+                                  if name not in ("wild_ab", "empty_swap")])
+def test_coded_verification_matches_token_oracle_on_corpus(name):
+    sub = corpus.get(name)
+    with session():
+        report = _assert_report_matches_oracle(sub, primitivize(sub).conjugate)
+    assert report.ok and report.windows_checked == report.checks["intertwine"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_coded_verification_matches_token_oracle_on_sigma_family(n):
+    sub = sigma_family(n)
+    with session():
+        assert _assert_report_matches_oracle(sub, _conjugate(sub)).ok
+
+
+def test_coded_verification_matches_token_oracle_on_seeded_rules():
+    # multi-character tokens reorder the windows: legal(depth) sorts tokens
+    rng = random.Random(3)
+    names = {"a": "a0", "b": "1b", "c": "c", "d": "dd"}
+    for _ in range(10):
+        sub = random_minimal_nonprimitive(rng)
+        for rule in (sub, retoken(sub, names)):
+            with session():
+                _assert_report_matches_oracle(rule, _conjugate(rule), depth=5)
+
+
+def _mutate(rng, sub, cs):
+    """cs with one letter's h-image or one letter of one theta image changed."""
+    theta = cs.theta
+    z = rng.choice(theta.alphabet)
+    if rng.random() < 0.5:
+        h = dict(cs.h)
+        h[z] = rng.choice([a for a in sub.alphabet if a != h[z]])
+        return dataclasses.replace(cs, h=h)
+    rules = dict(theta.rules)
+    image = list(rules[z])
+    image[rng.randrange(len(image))] = rng.choice(theta.alphabet)
+    rules[z] = tuple(image)
+    return dataclasses.replace(
+        cs, theta=Substitution(list(rules.items()), alphabet=theta.alphabet))
+
+
+def test_coded_verification_matches_token_oracle_on_mutations():
+    rng = random.Random(5)
+    subs = [sigma_family(3), corpus.get("chacon"), corpus.get("fibonacci"),
+            corpus.get("fib_handle"), corpus.get("two_components")]
+    subs += [random_minimal_nonprimitive(random.Random(seed)) for seed in range(4)]
+    kinds = set()
+    for sub in subs:
+        cs = _conjugate(sub)
+        for _ in range(12):
+            with session():
+                report = _assert_report_matches_oracle(sub, _mutate(rng, sub, cs))
+            if not isinstance(report, str) and report.counterexample:
+                kinds.add(report.counterexample[0])
+    assert {"h_legal", "parse_inverts", "intertwine"} <= kinds
+
+
+def _distinct_runs(sub, cs, depth):
+    """The sigma-word from the first to the last seed letter of each
+    window's h-image, empty where it holds fewer than two."""
+    b = cs.derived.system.seed_letter
+    runs = set()
+    for z_word in table_for(cs.theta, depth).legal(depth):
+        image = tuple(cs.h[z] for z in z_word)
+        ends = [i for i, x in enumerate(image) if x == b] or [0]
+        runs.add(image[ends[0]:ends[-1]])
+    return runs
+
+
+@pytest.mark.parametrize("name, runs, windows", [("asym_trib_a", 13, 32),
+                                                 ("asym_trib_b", 14, 47),
+                                                 ("f_not_bijection", None, 38),
+                                                 ("sigma_5", None, 57)])
+def test_verification_maps_each_distinct_run_once(monkeypatch, name, runs, windows):
+    sub = corpus.get(name)
+    with session():
+        cs = primitivize(sub).conjugate   # builds and derives every table read
+        n_total = cs.derived.system.power * cs.power_lift
+        power = sub.power(n_total)
+        applied = []
+        original = Substitution.apply_coded
+
+        def counting(self, coded, n=1):
+            # sigma^(N*lift) of a word, by sigma or by a power of it
+            if (self == sub and n == n_total) or (self == power and n == 1):
+                applied.append(coded)
+            return original(self, coded, n)
+
+        monkeypatch.setattr(Substitution, "apply_coded", counting)
+        report = verify_conjugacy(sub, cs)
+        monkeypatch.undo()
+        distinct = _distinct_runs(sub, cs, report.depth)
+    assert report.ok and report.windows_checked == windows
+    assert runs is None or len(distinct) == runs
+    assert len(applied) <= len(distinct)
