@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 from .apcomplex import (APComplex, H1Presentation, Multigraph, build_complex,
-                        graph_h1)
+                        graph_h1, induced_map)
 from .classify import decide_tameness
 from .collar import CollaredLetter, CollaredSubstitution, check_budget, collar
 from .core import Substitution
@@ -249,16 +249,6 @@ def _sub_multigraph(graph: Multigraph, edges):
                       tuple(graph.vertex_labels[v] for v in vertices))
 
 
-def _restricted_paths(collared, edges, power):
-    out = {}
-    for e in edges:
-        path = collared.sub.iterate((e,), power)
-        if any(x not in edges for x in path):
-            raise SubstdynError(f"subcomplex is not invariant at power {power}")
-        out[e] = tuple(path)
-    return out
-
-
 def enumerate_cis(collared: CollaredSubstitution,
                   context: CanonicalizeContext | None = None) -> CISLattice:
     """The full lattice of canonical subcomplexes, with per-node direct-limit
@@ -358,14 +348,17 @@ def enumerate_cis(collared: CollaredSubstitution,
     power = math.lcm(*(periods[k] for k in members))
 
     # per nonempty edge set: its component count, its edges' component
-    # ids and its H1 presentation
+    # ids and its H1 presentation, under the one cellular map at the power
+    paths = induced_map(collared, complex_, power).on_edges
     counts, components, presentations = {}, {}, {}
     for k in [*members, whole]:
         if k and k not in counts:
+            if any(not k.issuperset(paths[e]) for e in k):
+                raise SubstdynError(f"subcomplex is not invariant at power {power}")
             sub_graph = _sub_multigraph(complex_.graph, k)
             counts[k], comp = sub_graph.components()
             components[k] = {e: comp[sub_graph.source[e]] for e in k}
-            presentations[k] = graph_h1(sub_graph, _restricted_paths(collared, k, power))
+            presentations[k] = graph_h1(sub_graph, paths)
 
     def h0(k):
         return counts.get(k, 0)

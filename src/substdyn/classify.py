@@ -2,11 +2,30 @@
 
 A letter is bounded when its iterated images stay bounded in length, which
 holds exactly when every letter on a directed cycle of the occurrence
-digraph reachable from it has a one-letter image.  A substitution is tame
-when it has finitely many bounded legal words; this is decided through the
-frontier maps r and l (rightmost/leftmost expanding letter of an image),
-whose orbits are eventually periodic: the substitution is wild iff a letter
-whose image ends (starts) in a bounded letter lies on an r-cycle (l-cycle).
+digraph (a -> each letter of sigma(a)) reachable from it has a one-letter
+image.  ``classify_letters`` decides this by walks on the rule.  Let R_0 be
+the letters whose image has two or more letters, and R_(j+1) the letters
+whose image holds a letter of R_j, so R_j is the set of letters with a walk
+of j steps ending in R_0.  A letter is expanding exactly when it lies in R_j
+for some j in [|A|, 2|A|):
+
+- A walk of |A| or more steps from a bounded letter repeats a letter, so it
+  has entered a cycle that the letter reaches.  Every such cycle is made of
+  one-letter images, so the walk is then forced around it and never ends
+  in R_0.
+- From an expanding letter, a shortest walk reaches a cycle letter c with
+  |sigma(c)| >= 2 in d < |A| steps.  Walks ending at c then exist at every
+  length d + kp, where p <= |A| is the cycle's length, and one of those
+  lengths falls in [|A|, 2|A|).
+
+The walks are sets of letters; comparing |sigma^|A|(a)| with
+|sigma^(2|A|)(a)| decides the same, but on big integers.
+
+A substitution is tame when it has finitely many bounded legal words; this
+is decided through the frontier maps r and l (rightmost/leftmost expanding
+letter of an image), whose orbits are eventually periodic: the substitution
+is wild iff a letter whose image ends (starts) in a bounded letter lies on
+an r-cycle (l-cycle).
 
 The seed search starts from the admitted shapes: an expanding letter, a
 bounded interior, an expanding letter.  They come from the rule, not from a
@@ -35,7 +54,6 @@ from dataclasses import dataclass
 from .core import PointedWord, Substitution, Word
 from .errors import (EmptySubshiftError, MarginError, SubstdynError,
                      WildInputError, WitnessError)
-from .graphs import cyclic_nodes, forward_closure
 from .language import (LanguageTable, _once, periodic_orbit_escape,
                        periodic_point_search, table_for)
 
@@ -49,17 +67,18 @@ class LetterClassification:
 
 
 def classify_letters(sub: Substitution) -> LetterClassification:
-    adjacency = {a: set(sub.rules[a]) for a in sub.alphabet}
-    on_cycle = cyclic_nodes(sub.alphabet, lambda a: adjacency[a])
-    bounded = set()
-    for letter in sub.alphabet:
-        reachable = forward_closure([letter], lambda a: adjacency[a])
-        if all(len(sub.rules[c]) == 1 for c in reachable & on_cycle):
-            bounded.add(letter)
-    expanding = set(sub.alphabet) - bounded
+    """Bounded and expanding letters, by the walks of the module docstring."""
+    size = len(sub.alphabet)
+    walks = {a for a, image in sub.rules.items() if len(image) >= 2}   # R_0
+    expanding = set()
+    for j in range(1, 2 * size):
+        walks = {a for a, image in sub.rules.items() if not walks.isdisjoint(image)}
+        if j >= size:
+            expanding |= walks
+    bounded = frozenset(sub.alphabet) - expanding
     a_right = frozenset(a for a in expanding if sub.rules[a][-1] in bounded)
     a_left = frozenset(a for a in expanding if sub.rules[a][0] in bounded)
-    return LetterClassification(frozenset(bounded), frozenset(expanding), a_right, a_left)
+    return LetterClassification(bounded, frozenset(expanding), a_right, a_left)
 
 
 def frontier_maps(sub: Substitution, classification: LetterClassification):
@@ -75,23 +94,16 @@ def frontier_maps(sub: Substitution, classification: LetterClassification):
 
 
 def _cycle_members(mapping):
-    """Letters on cycles of a functional graph, with their cycle lengths."""
+    """Letters on cycles of a functional graph, with their cycle lengths: the
+    images of the whole set shrink to the cyclic letters, which the map permutes."""
+    cyclic = set(mapping)
+    while (image := {mapping[x] for x in cyclic}) != cyclic:
+        cyclic = image
     out = {}
-    for start in mapping:
-        seen = {}
-        node = start
-        step = 0
-        while node not in seen:
-            seen[node] = step
-            node = mapping[node]
-            step += 1
-        # node is the first repeated element; everything from its first
-        # occurrence onwards lies on the cycle
-        cycle_len = step - seen[node]
-        cursor = node
-        for _ in range(cycle_len):
-            out.setdefault(cursor, cycle_len)
-            cursor = mapping[cursor]
+    for start in cyclic:
+        node, out[start] = mapping[start], 1
+        while node != start:
+            node, out[start] = mapping[node], out[start] + 1
     return out
 
 
@@ -274,8 +286,10 @@ def find_seed(sub: Substitution) -> SeedResult:
     The orbits start from every separator position of the admitted shapes
     of length <= ``tameness_table_length(sub)``, the frontier closure of the
     module docstring, which reads no language table; the cap is argued there.
-    The walk steps coded pointed words with the closure's step, and the
-    doubling search counts b in coded iterates."""
+    The walk steps coded pointed words with the closure's step.  The
+    doubling search tries N = p, 2p, ..., 64p and stops past 1M letters; it
+    steps the count of b in sigma^N(x) and the length |sigma^N(x)| of every
+    letter x through the rule, so no iterate is built to measure one."""
     report = decide_tameness(sub)
     if report.empty_subshift:
         raise EmptySubshiftError("cannot seed an empty subshift")
@@ -320,17 +334,16 @@ def find_seed(sub: Substitution) -> SeedResult:
     p = decoded[v]
     endpoints = (v.word[0], v.word[-1])
     for b in sorted(set(endpoints), key=sub.letter_index):
-        b_code = sub.encode((b,))
-        n = p
-        length_guard = 0
-        while length_guard < 64:
-            image = sub.apply_coded(b_code, n)
-            if image.count(b_code) >= 2:
+        # per letter x: the occurrences of b in sigma^n(x), and |sigma^n(x)|
+        count = {x: int(x == b) for x in sub.alphabet}
+        length = dict.fromkeys(sub.alphabet, 1)
+        for n in range(p, 65 * p, p):
+            for _ in range(p):
+                count, length = sub.sum_over_images(count), sub.sum_over_images(length)
+            if count[b] >= 2:
                 return SeedResult(v, p, endpoints, b, n)
-            if len(image) > 1_000_000:
+            if length[b] > 1_000_000:
                 break
-            n += p
-            length_guard += 1
     raise WitnessError("no endpoint letter doubles under iteration; "
                        "the subshift is unlikely to be minimal")
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from .core import Substitution, Word
 from .errors import EdgeBudgetError, BorderForcingError, PaddingError, SymbolError
 from .language import LanguageTable, table_for
-from .classify import classify_letters, decide_tameness
+from .classify import decide_tameness
 
 if TYPE_CHECKING:
     from .apcomplex import APComplex
@@ -170,14 +170,13 @@ def border_forcing_level(collared: CollaredSubstitution) -> int:
     if collared.radius < n_sigma:
         raise BorderForcingError(
             f"radius {collared.radius} below the bounded-word bound {n_sigma}")
-    classification = classify_letters(base)
     lengths = {a: len(image) for a, image in base.rules.items()}
     k = 1
-    while not all(lengths[a] > n_sigma for a in classification.expanding):
+    while not all(lengths[a] > n_sigma for a in report.classification.expanding):
         k += 1
         if k > 64:
             raise BorderForcingError("no expanding letter outgrows the bound")
-        lengths = {a: sum(lengths[b] for b in image) for a, image in base.rules.items()}
+        lengths = base.sum_over_images(lengths)
     _verify_forcing(collared, k)
     return k
 

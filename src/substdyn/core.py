@@ -28,8 +28,6 @@ _CODE_BASE = 0xE000  # private use area; internal coding only
 def as_word(value) -> Word:
     """Normalise a user-supplied word: a tuple/list of tokens, or a plain
     string of single-character tokens."""
-    if isinstance(value, str):
-        return tuple(value)
     return tuple(value)
 
 
@@ -109,6 +107,12 @@ class Substitution:
         for _ in range(n):
             coded = coded.translate(self._table)
         return coded
+
+    def sum_over_images(self, values: dict) -> dict:
+        """a -> the sum of ``values[x]`` over the letters x of sigma(a).  From
+        |sigma^n(x)|, or the occurrences of a letter in sigma^n(x), this
+        gives the same for sigma^(n+1), with no image built."""
+        return {a: sum(values[x] for x in image) for a, image in self.rules.items()}
 
     # -- public operations -------------------------------------------------
 

@@ -1,7 +1,6 @@
-"""Small graph utilities: union-find, strongly connected components,
-reachability closures, and the nodes on bi-infinite paths (by trimming).
-All iterative; node order is whatever the caller passes in, so results are
-deterministic for deterministic input order.
+"""Graph helpers: a union-find, and the nodes of a finite directed graph
+that lie on bi-infinite paths, found by trimming.  Both are iterative, and
+their results depend only on the nodes and edges passed in.
 """
 
 from __future__ import annotations
@@ -34,83 +33,6 @@ class UnionFind:
         for x in self.parent:
             groups.setdefault(self.find(x), []).append(x)
         return groups
-
-
-def strongly_connected_components(nodes, succ):
-    """Tarjan's algorithm, iterative.  Returns a list of components (lists of
-    nodes); within a component, nodes appear in discovery order."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = [0]
-
-    for start in nodes:
-        if start in index:
-            continue
-        work = [(start, iter(succ(start)))]
-        index[start] = lowlink[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = lowlink[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ(child))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                component.reverse()
-                components.append(component)
-    return components
-
-
-def cyclic_nodes(nodes, succ):
-    """Nodes lying on some directed cycle: members of an SCC with an internal
-    edge (size > 1, or a self-loop)."""
-    result = set()
-    for component in strongly_connected_components(nodes, succ):
-        if len(component) > 1:
-            result.update(component)
-        else:
-            node = component[0]
-            if node in succ(node):
-                result.add(node)
-    return result
-
-
-def forward_closure(seeds, succ):
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        node = frontier.pop()
-        for child in succ(node):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return seen
 
 
 def biinfinite_path_nodes(nodes, succ, pred):

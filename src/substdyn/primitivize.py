@@ -71,8 +71,7 @@ class ReturnWordSystem:
 _SCAN_BUDGET = 2_000_000
 
 
-def return_words(sub: Substitution, seed: SeedResult | None = None,
-                 max_rounds: int | None = None) -> ReturnWordSystem:
+def return_words(sub: Substitution, seed: SeedResult | None = None) -> ReturnWordSystem:
     """Enumerate the return words to the seed letter by scanning iterates of
     sigma^N(b), then close the block decompositions over them.
 
@@ -84,13 +83,21 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
     its u_i alone.  The stand-in h (b u) ... (b t) over the distinct u in
     order of first appearance has an image with the same head, tail and
     return words in the same order, and only it is built; the iterate's
-    letter counts give its length for the scan budget."""
+    letter counts give its length for the scan budget.  No iterate is built
+    to measure one: |sigma^N(b)|, the first iterate, is stepped through the
+    rule before sigma^N of any letter is built."""
     if seed is None:
         seed = find_seed(sub)
     b = seed.seed_letter
     n = seed.n_for_doubling
-    if max_rounds is None:
-        max_rounds = 2 ** len(sub.alphabet) * sub.max_image_len
+    max_rounds = 2 ** len(sub.alphabet) * sub.max_image_len
+    past_budget = (f"iterates of {b!r} grew past the scan budget before the "
+                   "return words stabilised")
+    lengths = dict.fromkeys(sub.alphabet, 1)
+    for _ in range(n):
+        lengths = sub.sum_over_images(lengths)
+    if lengths[b] > _SCAN_BUDGET:
+        raise NonClosureError(past_budget, partial=())
     # sigma^N on coded words, as one str.translate table
     images = {c: sub.apply_coded(c, n) for c in sub.encode(sub.alphabet)}
     apply_power = operator.methodcaller(
@@ -121,9 +128,7 @@ def return_words(sub: Substitution, seed: SeedResult | None = None,
                                       [b_code + tail for tail in found])
                 if system is not None:
                     return system
-            raise NonClosureError(
-                f"iterates of {b!r} grew past the scan budget before the "
-                "return words stabilised", partial=partial())
+            raise NonClosureError(past_budget, partial=partial())
         counts = {d: sum(counts[c] * image.count(d) for c, image in images.items())
                   for d in images}
         pieces = apply_power(word).split(b_code)
@@ -275,14 +280,18 @@ def _zeta_token(gamma_letter: str, k: int) -> str:
     return f"{gamma_letter}:{k}"
 
 
-def build_theta(ds: DerivedSubstitution, max_lift: int = 10) -> ConjugateSubstitution:
+# Powers of psi that ``build_theta`` tries before it gives up.
+_MAX_LIFT = 10
+
+
+def build_theta(ds: DerivedSubstitution) -> ConjugateSubstitution:
     psi = ds.psi
     alpha = ds.alpha
     lift = 1
     lifted = psi
     while any(len(lifted.rules[g]) < len(alpha[g]) for g in psi.alphabet):
         lift += 1
-        if lift > max_lift:
+        if lift > _MAX_LIFT:
             raise BlockShortfallError(
                 "psi images stay shorter than their return words after power lifting")
         lifted = psi.power(lift)

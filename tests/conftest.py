@@ -18,7 +18,6 @@ from substdyn.cis import enumerate_cis
 from substdyn.collar import collar
 from substdyn.core import Substitution, parse_substitution
 from substdyn.errors import SubstdynError
-from substdyn.graphs import cyclic_nodes, forward_closure
 
 
 def brute_iterate(sub: Substitution, word, n):
@@ -226,17 +225,19 @@ def reference_graph_h1(graph, on_edges):
 
 
 def reference_biinfinite_path_nodes(nodes, succ, pred):
-    """Nodes through which a bi-infinite path runs, as reachable from a
-    cycle and able to reach a cycle: strongly connected components for the
-    cycles, then a forward closure along each direction (the construction
-    before trimming)."""
+    """Nodes through which a bi-infinite path runs, as the nodes with both
+    a forward and a backward walk of |V| steps: such a walk repeats a node,
+    so it runs into (or out of) a cycle, which it can go round forever."""
     nodes = list(nodes)
-    cyc = cyclic_nodes(nodes, succ)
-    if not cyc:
-        return set()
-    downstream = forward_closure(cyc, succ)
-    upstream = forward_closure(cyc, pred)
-    return downstream & upstream
+
+    def walk_starts(step):
+        # after j rounds: the nodes with a walk of j steps along ``step``
+        starts = set(nodes)
+        for _ in nodes:
+            starts = {v for v in starts if any(w in starts for w in step(v))}
+        return starts
+
+    return walk_starts(succ) & walk_starts(pred)
 
 
 def _per_context(build):

@@ -609,3 +609,16 @@ def test_cli_fuzz_exits_cleanly_and_repeats(capsys, tmp_path):
             assert first == second, (text, argv[0])
             codes.add(first[0])
     assert {0, 1, 2} <= codes
+
+
+def test_analyze_runaway_seed_warns(capsys, tmp_path):
+    # sigma^20 of the seed letter holds 2.3G letters; the primitivization
+    # stops on its measured length and the other stages still run
+    rule = tmp_path / "runaway.txt"
+    rule.write_text("a -> dbbb\nb -> ed\nc -> eece\nd -> cddc\ne -> a\n")
+    code, out, _ = run_cli(capsys, "analyze", str(rule))
+    assert code == 0
+    data = json.loads(out)
+    assert data["warnings"] == ["primitivization: iterates of 'a' grew past the scan "
+                                "budget before the return words stabilised"]
+    assert data["cis"] is not None

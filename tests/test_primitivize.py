@@ -371,6 +371,31 @@ def test_return_words_map_short_stand_ins(monkeypatch):
     assert lengths and max(lengths) <= 10_000
 
 
+# Primitive and tame; its seed is ('a', 'a') with period and N = 20, and
+# sigma^20(a) holds 2,323,524,790 letters
+RUNAWAY = "a -> dbbb\nb -> ed\nc -> eece\nd -> cddc\ne -> a\n"
+
+
+def test_runaway_seed_is_measured_without_its_iterate(monkeypatch):
+    apply = Substitution.apply_coded
+
+    def one_step(self, coded, n=1):
+        if n > 1:
+            pytest.fail(f"sigma^{n} built")
+        return apply(self, coded, n)
+
+    monkeypatch.setattr(Substitution, "apply_coded", one_step)
+    sub = parse_substitution(RUNAWAY)
+    with session():
+        seed = find_seed(sub)
+        assert (seed.seed_letter, seed.power, seed.n_for_doubling) == ("a", 20, 20)
+        with pytest.raises(NonClosureError) as info:
+            return_words(sub, seed=seed)
+    assert str(info.value) == ("iterates of 'a' grew past the scan budget before "
+                               "the return words stabilised")
+    assert info.value.partial == ()
+
+
 def test_return_words_decode_only_the_system(monkeypatch):
     sub = corpus.get("asym_trib_b")
     seed = find_seed(sub)

@@ -95,8 +95,27 @@ def test_factoriality_and_legal_containment():
                     assert any(v[1:] == word for v in legal)
 
 
+def _long_walk_rules():
+    """For k = 2..12: chains x0 -> ... -> x(k-1) whose last letter doubles or
+    feeds a doubling letter, and k-cycles with one two-letter image, where
+    a letter's walk to a growing image is as long as the alphabet allows;
+    and the same chain and cycle of one-letter images, entered by a
+    two-letter image, where every letter is bounded."""
+    out = []
+    for k in range(2, 13):
+        xs = [f"x{i}" for i in range(k)]
+        chain = list(zip(xs, [(x,) for x in xs[1:]]))
+        entry = [("y", (xs[0], xs[0]))]
+        out += [Substitution(chain + [(xs[-1], (xs[-1], xs[-1]))]),
+                Substitution(chain + [(xs[-1], ("y",)), ("y", ("y", "y"))]),
+                Substitution(chain + [(xs[-1], (xs[0], xs[0]))]),
+                Substitution(chain + [(xs[-1], (xs[-1],))] + entry),
+                Substitution(chain + [(xs[-1], (xs[0],))] + entry)]
+    return out
+
+
 def test_bounded_letter_oracle_agreement():
-    for sub in SUBSTITUTIONS + CORPUS_SUBS:
+    for sub in SUBSTITUTIONS + CORPUS_SUBS + _long_walk_rules():
         assert set(classify_letters(sub).bounded) == brute_bounded_letters(sub)
 
 
