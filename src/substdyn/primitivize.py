@@ -67,8 +67,10 @@ class ReturnWordSystem:
         return len(self.seed_blocks)
 
 
-# Letters an iterate may have before the return-word scan gives up.
+# Letters an iterate, or the sigma^N-images of the candidate return words
+# together, may have before the return-word scan gives up.
 _SCAN_BUDGET = 2_000_000
+_PAST_BUDGET = "iterates of {!r} grew past the scan budget before the return words stabilised"
 
 
 def return_words(sub: Substitution, seed: SeedResult | None = None) -> ReturnWordSystem:
@@ -85,14 +87,15 @@ def return_words(sub: Substitution, seed: SeedResult | None = None) -> ReturnWor
     return words in the same order, and only it is built; the iterate's
     letter counts give its length for the scan budget.  No iterate is built
     to measure one: |sigma^N(b)|, the first iterate, is stepped through the
-    rule before sigma^N of any letter is built."""
+    rule before sigma^N of any letter is built, and the sigma^N-images of
+    the candidate return words are summed from their letters' before the
+    closure builds any of them."""
     if seed is None:
         seed = find_seed(sub)
     b = seed.seed_letter
     n = seed.n_for_doubling
     max_rounds = 2 ** len(sub.alphabet) * sub.max_image_len
-    past_budget = (f"iterates of {b!r} grew past the scan budget before the "
-                   "return words stabilised")
+    past_budget = _PAST_BUDGET.format(b)
     lengths = dict.fromkeys(sub.alphabet, 1)
     for _ in range(n):
         lengths = sub.sum_over_images(lengths)
@@ -100,6 +103,7 @@ def return_words(sub: Substitution, seed: SeedResult | None = None) -> ReturnWor
         raise NonClosureError(past_budget, partial=())
     # sigma^N on coded words, as one str.translate table
     images = {c: sub.apply_coded(c, n) for c in sub.encode(sub.alphabet)}
+    image_len = {c: len(image) for c, image in images.items()}
     apply_power = operator.methodcaller(
         "translate", {ord(c): image for c, image in images.items()})
     b_code = sub.encode((b,))
@@ -120,11 +124,11 @@ def return_words(sub: Substitution, seed: SeedResult | None = None) -> ReturnWor
                 f"return words to {b!r} did not stabilise within {max_rounds} rounds; "
                 "evidence against minimality", partial=partial())
         # the next iterate's length, from the letter counts
-        if sum(counts[c] * len(image) for c, image in images.items()) > _SCAN_BUDGET:
+        if sum(counts[c] * image_len[c] for c in images) > _SCAN_BUDGET:
             # the words found so far may already close, unconfirmed by a
             # second stable round
             if found:
-                system = _close_coded(sub, apply_power, b, n,
+                system = _close_coded(sub, apply_power, image_len, b, n,
                                       [b_code + tail for tail in found])
                 if system is not None:
                     return system
@@ -145,7 +149,8 @@ def return_words(sub: Substitution, seed: SeedResult | None = None) -> ReturnWor
         if stable_rounds < 2 or len(found) == 0:
             continue
         # candidate set is stable; try to close the block decompositions
-        system = _close_coded(sub, apply_power, b, n, [b_code + tail for tail in found])
+        system = _close_coded(sub, apply_power, image_len, b, n,
+                              [b_code + tail for tail in found])
         if system is not None:
             return system
         stable_rounds = 0
@@ -157,10 +162,14 @@ def _split_coded(coded: str, b_code: str):
     return head, tuple(b_code + tail for tail in tails)
 
 
-def _close_coded(sub, apply_power, b, n, words):
+def _close_coded(sub, apply_power, image_len, b, n, words):
     """The return-word system over the coded candidate ``words``, or None
     when some block of a sigma^N image is not among them; ``apply_power``
-    is sigma^N on coded words."""
+    is sigma^N on coded words, and ``image_len`` the length of each coded
+    letter's sigma^N-image.  The candidates' images are measured before
+    any is built, and past the scan budget the scan gives up."""
+    if sum(image_len[c] for v in words for c in v) > _SCAN_BUDGET:
+        raise NonClosureError(_PAST_BUDGET.format(b), partial=tuple(map(sub.decode, words)))
     b_code = sub.encode((b,))
     image_of_b = apply_power(b_code)
     head, seed_blocks = _split_coded(image_of_b, b_code)

@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+import time
 
 import pytest
 
@@ -622,3 +623,34 @@ def test_analyze_runaway_seed_warns(capsys, tmp_path):
     assert data["warnings"] == ["primitivization: iterates of 'a' grew past the scan "
                                 "budget before the return words stabilised"]
     assert data["cis"] is not None
+
+
+PAST_BUDGET = "iterates of 'a' grew past the scan budget before the return words stabilised"
+# find_seed gives N = 30 and N = 12.  sigma^N of the seed letter stays
+# within the scan budget, but sigma^N of the candidate return words
+# together passes it, and building those images ran out of memory (the
+# first) or took over 100 s (the second).
+CLOSURE_BUDGET_RULES = ["a -> d\nb -> f\nc -> a\nd -> ge\ne -> ab\nf -> ec\ng -> fd\n",
+                        "a -> ddac\nb -> cabd\nc -> aadd\nd -> ba\n"]
+
+
+@pytest.mark.parametrize("text", CLOSURE_BUDGET_RULES, ids=["n30", "n12"])
+def test_primitivize_measures_the_candidate_images(capsys, tmp_path, text):
+    rule = tmp_path / "rule.txt"
+    rule.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "primitivize", str(rule), "--out-dir", str(tmp_path))
+    assert time.perf_counter() - start < 30
+    assert (code, out, err) == (1, "", f"error: {PAST_BUDGET}\n")
+
+
+def test_analyze_warns_when_the_candidate_images_pass_the_budget(capsys, tmp_path):
+    rule = tmp_path / "rule.txt"
+    rule.write_text(CLOSURE_BUDGET_RULES[1])
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", str(rule))
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    data = json.loads(out)
+    assert data["warnings"] == [f"primitivization: {PAST_BUDGET}"]
+    assert data["minimality"]["verdict"] == "yes" and data["cis"] is not None

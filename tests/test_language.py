@@ -15,7 +15,8 @@ from substdyn.language import (BASE_CAP, LanguageTable, periodic_point_search,
                                periodic_search_length, table_for)
 from substdyn.primitivize import primitivize
 
-from conftest import brute_admitted, random_substitution, reference_biinfinite_path_nodes
+from conftest import (brute_admitted, random_substitution, reference_biinfinite_path_nodes,
+                      retoken)
 from core_oracles import parse_word
 from language_oracles import eager_legal_sets, is_admitted, rauzy, to_json_dict
 
@@ -316,11 +317,11 @@ def _assert_same_table(table, fresh):
 def test_tables_share_one_core_per_cap(sub, monkeypatch):
     # a non-primitive table's cap is margin + 2, and tables of one cap
     # compute its admitted words once.  A primitive table takes lengths up
-    # to BASE_CAP from the core at that cap, lifts longer ones, and builds
-    # its core at max_length + 1 for stabilized_at (or for a length the
-    # lift cannot bound); inside a session each of those cores and each
-    # derived length is computed once.  Every table equals one built on
-    # its own, outside the session.
+    # to BASE_CAP from its rule's closed word store, lifts longer ones, and
+    # builds its core at max_length + 1 for stabilized_at (or for a length
+    # the lift cannot bound) and no other; inside a session each of those
+    # cores and each derived length is computed once.  Every table equals
+    # one built on its own, outside the session.
     if sub.is_primitive():
         keys = [(4, None), (4, 9), (4, 30), (20, None), (20, 30), (12, None)]
     else:
@@ -347,7 +348,7 @@ def test_tables_share_one_core_per_cap(sub, monkeypatch):
     assert len(computed) == len(set(computed))
     if sub.is_primitive():
         assert len(derived) == len(set(derived)) and max(derived) == 21
-        assert set(computed) == {BASE_CAP} | {table._cap for table in tables}
+        assert sorted(computed) == sorted({table._cap for table in tables})
     else:
         assert derived == []
         assert sorted(computed) == sorted({table._cap for table in tables})
@@ -374,6 +375,67 @@ PRIMITIVE_ENTRIES = [name for name, entry in CORPUS.items()
                      if entry.substitution().is_primitive()]
 FALLBACK_RULE = "a -> cdc\nb -> ceed\nc -> f\nd -> eae\ne -> d\nf -> b\n"
 LONG_RUN_RULE = "a -> ba\nb -> f\nc -> d\nd -> eb\ne -> af\nf -> cc\n"
+
+
+def _corpus_thetas():
+    thetas = []
+    for entry in CORPUS.values():
+        try:
+            thetas.append(primitivize(entry.substitution()).theta)
+        except SubstdynError:
+            pass
+    return thetas
+
+
+def _closure_sample(group):
+    """The primitive rules of one group of the closure oracle test."""
+    if group == "seeded":
+        return _primitive_sample()
+    if group == "entries":
+        return [CORPUS[name].substitution() for name in PRIMITIVE_ENTRIES]
+    if group == "thetas":
+        return _corpus_thetas()
+    if group == "fixed_letter":
+        return [parse_substitution("a -> a\n")]
+    # 6-8 letters, images of 1-3 letters
+    rng = random.Random(20261020)
+    wide = []
+    while len(wide) < 100:
+        letters = "abcdefgh"[:rng.randint(6, 8)]
+        sub = Substitution([(a, tuple(rng.choice(letters) for _ in range(rng.randint(1, 3))))
+                            for a in letters], alphabet=tuple(letters))
+        if sub.is_primitive():
+            wide.append(sub)
+    if group == "wide":
+        return wide
+    # multi-character tokens, in reversed alphabet order, so that the
+    # closure starts from another letter under another coding
+    renamed = []
+    for sub in _primitive_sample()[:100] + wide[:50]:
+        tokens = retoken(sub, {a: f"{a}{i}" for i, a in enumerate(sub.alphabet)})
+        renamed.append(Substitution(tokens.rules, alphabet=tokens.alphabet[::-1]))
+    return renamed
+
+
+@pytest.mark.parametrize("group", ["seeded", "entries", "thetas", "wide", "renamed",
+                                   "fixed_letter"])
+def test_closed_words_match_the_iteration(group):
+    # a primitive rule's words up to BASE_CAP, closed from one word under
+    # its leading windows, equal the iteration core's at cap BASE_CAP at
+    # every length, and M_k the least image of its admitted k-words
+    subs = _closure_sample(group)
+    assert subs
+    for sub in subs:
+        reference = language._LanguageCore(sub, BASE_CAP)
+        table = LanguageTable(sub, BASE_CAP)
+        least = {}
+        for length in range(BASE_CAP + 1):
+            expected = reference._admitted_exact_length(length, keep=BASE_CAP)
+            assert table.admitted_coded(length) == expected, (sub.rules, length)
+            if length:
+                least[length] = min((len(sub.apply_coded(w)) for w in expected),
+                                    default=length)
+        assert table._words._least == least, sub.rules
 
 
 def _lift_length(sub):
@@ -406,14 +468,9 @@ def test_lifted_lengths_match_the_iteration_on_primitive_entries(name):
 
 
 def test_lifted_lengths_match_the_iteration_on_corpus_thetas():
-    thetas = 0
-    for entry in CORPUS.values():
-        try:
-            theta = primitivize(entry.substitution()).theta
-        except SubstdynError:
-            continue
+    thetas = _corpus_thetas()
+    for theta in thetas:
         _assert_lift_matches_the_iteration(theta)
-        thetas += 1
     assert thetas
 
 
@@ -456,15 +513,9 @@ def test_the_lift_falls_back_on_few_rules(monkeypatch):
     # lift length in turn: 10 fell back to the table core with the block
     # bound alone, and the direct check of the length below lifts all but
     # two that admit a 6-letter word of one-letter images
-    thetas = []
-    for entry in CORPUS.values():
-        try:
-            thetas.append(primitivize(entry.substitution()).theta)
-        except SubstdynError:
-            pass
     rules = {sub.to_text(): sub for sub in
              _primitive_sample() + [CORPUS[name].substitution() for name in PRIMITIVE_ENTRIES]
-             + thetas + [parse_substitution(text) for text in ("a -> a\n", FALLBACK_RULE)]}
+             + _corpus_thetas() + [parse_substitution(text) for text in ("a -> a\n", FALLBACK_RULE)]}
     cores = []
     compute = language._LanguageCore._compute_admitted
 
@@ -495,8 +546,9 @@ def test_fixed_letter_admits_its_letter_alone():
 
 def test_cohomology_lifts_its_long_tables(tmp_path, capsys, monkeypatch):
     # cohomology --radius 2 on an 8-letter primitive rule asks for tables of
-    # length 6 (the collar) and 48 (tameness, the periodic search); the core
-    # at BASE_CAP serves the first, and the lift the second
+    # length 6 (the collar) and 48 (tameness, the periodic search); the
+    # rule's closed BASE_CAP-words serve the first, and the lift the second,
+    # so no iteration core is built
     path = tmp_path / "k8.txt"
     path.write_text("a -> fgg\nb -> ad\nc -> ech\nd -> dag\n"
                     "e -> ahe\nf -> bce\ng -> ee\nh -> gb\n")
@@ -510,7 +562,26 @@ def test_cohomology_lifts_its_long_tables(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
     assert main(["cohomology", "--radius", "2", str(path)]) == 0
     capsys.readouterr()
-    assert caps == [BASE_CAP]
+    assert caps == []
+
+
+def test_analyze_builds_one_core_per_primitive_rule(capsys, monkeypatch):
+    # analyze reads stabilized_at from its table, so Fibonacci's core is
+    # built at the table's max_length + 1; every other table of Fibonacci
+    # and of its theta takes its words from the rules' word stores
+    import json
+    cores = []
+    compute = language._LanguageCore._compute_admitted
+
+    def counting(self):
+        cores.append((self.sub, self._cap))
+        return compute(self)
+
+    monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
+    assert main(["analyze", "corpus:fibonacci"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["primitivization"] is not None
+    assert cores == [(CORPUS["fibonacci"].substitution(), data["language"]["max_length"] + 1)]
 
 
 def test_tables_sharing_a_core_decide_exactness_at_their_own_length():

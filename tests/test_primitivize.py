@@ -27,7 +27,9 @@ primitivize_module = sys.modules["substdyn.primitivize"]
 
 def _close_blocks(sub, power_sub, b, n, words):
     """``_close_coded`` on tuple words, with sigma^N given as ``power_sub``."""
-    return _close_coded(sub, power_sub.apply_coded, b, n, [sub.encode(v) for v in words])
+    image_len = {c: len(power_sub.apply_coded(c)) for c in sub.encode(sub.alphabet)}
+    return _close_coded(sub, power_sub.apply_coded, image_len, b, n,
+                        [sub.encode(v) for v in words])
 
 
 def gamma_token(i):
