@@ -574,6 +574,9 @@ def extend_substitution(base: Substitution, handle: Substitution,
         for b in handle.alphabet:
             image = lifted.rules[injection[b]]
             wanted = tuple(injection[x] for x in handle.rules[b])
+            if b not in subsequences:
+                raise SubstdynError(f"no positions for {b!r}, though other "
+                                    f"handle letters have them")
             positions = tuple(p - 1 for p in subsequences[b])
             if len(positions) != len(wanted):
                 raise SubstdynError(f"need {len(wanted)} positions for {b!r}")

@@ -249,7 +249,6 @@ def _is_rotation_power(candidate: Word, word: Word) -> bool:
 class SeedResult:
     fixed_pointed_word: PointedWord
     power: int
-    legal_expanding_letters: tuple[str, str]
     seed_letter: str
     n_for_doubling: int
 
@@ -332,8 +331,7 @@ def find_seed(sub: Substitution) -> SeedResult:
                for (word, origin), period in periodic.items()}
     v = min(decoded, key=lambda p: (len(p.word), p.word, p.origin))
     p = decoded[v]
-    endpoints = (v.word[0], v.word[-1])
-    for b in sorted(set(endpoints), key=sub.letter_index):
+    for b in sorted({v.word[0], v.word[-1]}, key=sub.letter_index):
         # per letter x: the occurrences of b in sigma^n(x), and |sigma^n(x)|
         count = {x: int(x == b) for x in sub.alphabet}
         length = dict.fromkeys(sub.alphabet, 1)
@@ -341,7 +339,7 @@ def find_seed(sub: Substitution) -> SeedResult:
             for _ in range(p):
                 count, length = sub.sum_over_images(count), sub.sum_over_images(length)
             if count[b] >= 2:
-                return SeedResult(v, p, endpoints, b, n)
+                return SeedResult(v, p, b, n)
             if length[b] > 1_000_000:
                 break
     raise WitnessError("no endpoint letter doubles under iteration; "

@@ -52,7 +52,7 @@ def _check_options(args):
     if radius != "auto" and not radius.isdecimal():
         raise SubstdynError(f"--radius must be 'auto' or an integer >= 0, not {radius!r}")
     args.radius = None if radius == "auto" else int(radius)
-    for name in ("max_length", "verify_depth"):
+    for name in ("max_length", "verify_depth", "power"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise SubstdynError(f"--{name.replace('_', '-')} must be >= 1, not {value}")
@@ -267,23 +267,18 @@ def cmd_primitivize(args):
     stem = os.path.splitext(os.path.basename(args.file))[0] if args.file != "-" \
         else "substitution"
     stem = stem.replace("corpus:", "")
-    written = []
     if result.bypass is not None:
-        path = os.path.join(out_dir, f"{stem}.primitive.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(result.bypass.to_text())
-        written.append(path)
+        outputs = [("primitive", result.bypass)]
     else:
-        if args.emit in ("psi", "both"):
-            path = os.path.join(out_dir, f"{stem}.psi.txt")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(result.derived.psi.to_text())
-            written.append(path)
-        if args.emit in ("theta", "both"):
-            path = os.path.join(out_dir, f"{stem}.theta.txt")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(result.conjugate.theta.to_text())
-            written.append(path)
+        outputs = [(kind, rule) for kind, rule in (("psi", result.derived.psi),
+                                                   ("theta", result.conjugate.theta))
+                   if args.emit in (kind, "both")]
+    written = []
+    for kind, rule in outputs:
+        path = os.path.join(out_dir, f"{stem}.{kind}.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(rule.to_text())
+        written.append(path)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0
@@ -393,7 +388,11 @@ def _parse_inject(text: str):
         target, _, pos = tail.partition(":")
         injection[letter] = target.strip()
         if pos.strip():
-            positions[letter] = tuple(int(x) for x in pos.split(","))
+            try:
+                positions[letter] = tuple(int(x) for x in pos.split(","))
+            except ValueError:
+                raise SubstdynError(f"--inject positions for {letter!r} must be "
+                                    f"integers, not {pos.strip()!r}") from None
     return injection, (positions or None)
 
 

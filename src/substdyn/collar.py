@@ -44,10 +44,6 @@ class CollaredLetter:
     center: str
     context: Word
 
-    @property
-    def radius(self) -> int:
-        return (len(self.context) - 1) // 2
-
     def token(self, sub: Substitution) -> str:
         ctx = sub.format_word(self.context).replace(" ", ".")
         return f"{self.center}|{ctx}"

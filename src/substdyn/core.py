@@ -20,8 +20,6 @@ from .errors import RuleParseError, SymbolError
 
 Word = tuple[str, ...]
 
-EPSILON: Word = ()
-
 _CODE_BASE = 0xE000  # private use area; internal coding only
 
 

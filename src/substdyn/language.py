@@ -31,41 +31,32 @@ length l + 1, or itself a short image, so admitted(l) is the prefixes and
 suffixes of admitted(l + 1) plus the short images of length l.
 
 A primitive rule instead derives each length on first request, once per
-rule; a core serves only where the lift falls back (below).  Its language
-is extendable (sigma^N(b) holds every letter, so a factor of sigma^k(a)
-recurs with context on both sides), so every admitted word shorter than m
-is a prefix of one of length m.
+rule, from no core.  Its language is extendable (sigma^N(b) holds every
+letter, so a factor of sigma^k(a) recurs with context on both sides), so
+every admitted word shorter than m is a prefix of one of length m: a
+length is the prefixes of the least longer length derived so far, which
+costs less than a closure (the CIS context asks for l and then l - 1),
+and the store derives BASE_CAP (cap below) when it is built.  The short
+images the iteration keeps add nothing here.
 
-Its BASE_CAP-words (cap below) are closed from one.  Iterate sigma on a
-letter until the image has cap letters, and take that prefix w0; then
-add, for each new word w, the leading windows of w: the cap-windows of
-sigma(w) that start inside sigma(w[0]), until no new word appears.  Each
-is admitted (if w lies in sigma^k(y), they lie in sigma^(k+1)(y)) and has
-cap letters, as |sigma(w[1:])| >= cap - 1.  Every admitted cap-word is
-reached.  By induction on k, the words reached hold every cap-window of
-sigma^k(w0) that starts inside sigma^k(x), where x = w0[0]: such a window
-starts inside sigma(c) for a letter c of sigma^(k-1)(x), so it is a
-leading window of the cap-window of sigma^(k-1)(w0) that starts at c,
-which is whole, as |sigma^(k-1)(w0[1:])| >= cap - 1.  And an admitted
-cap-word lies in some sigma^n(y), and by primitivity y lies in some
-sigma^p(x), so the word lies inside sigma^(n+p)(x).  The shorter
-admitted words are the prefixes of the cap-words, by extendability, so
-the short images the iteration keeps add nothing here.  The one
-primitive rule whose images all have one letter, a -> a, admits its
-letter and no longer word.
-
-A longer l is lifted through sigma.  An admitted w of length l >= 2 is a
-window of sigma(v) starting in sigma(v[0]), for an admitted v of length
-m, once every such v has |sigma(v)| >= |sigma(v[0])| + l - 1.  Blocks
-bound m: v[1:] holds floor((m - 1) / k) disjoint admitted k-blocks, each
-with an image of at least M_k letters (least over admitted k-words, read
-off the cap-words' k-prefixes from the letters' image lengths), so
-m = 1 + k * ceil((l - 1) / M_k), least over k <= BASE_CAP, will do.  Where
-m >= l (M_k <= k for all k, as for a -> a), the longest m < l derived so
-far (BASE_CAP at least) serves when every admitted v of length m has
-|sigma(v[1:])| >= l - 1, checked word by word; only where it fails does the
-table's core at max_length + 1 serve l.  Primitive factor complexity is
-linear (Cassaigne 1997), so the lifted sets stay small.
+A length cap with no longer length derived is closed from one word.
+Iterate sigma on a letter until the image has cap letters (every letter
+of a primitive rule other than a -> a grows under sigma^N), and take that
+prefix w0; then add, for each new word w, the leading windows of w: the
+cap-windows of sigma(w) that start inside sigma(w[0]), until no new word
+appears.  Each is admitted (if w lies in sigma^k(y), they lie in
+sigma^(k+1)(y)) and has cap letters, as |sigma(w[1:])| >= cap - 1.  Every
+admitted cap-word is reached.  By induction on k, the words reached hold
+every cap-window of sigma^k(w0) that starts inside sigma^k(x), where
+x = w0[0]: such a window starts inside sigma(c) for a letter c of
+sigma^(k-1)(x), so it is a leading window of the cap-window of
+sigma^(k-1)(w0) that starts at c, which is whole, as
+|sigma^(k-1)(w0[1:])| >= cap - 1.  And an admitted cap-word lies in some
+sigma^n(y), and by primitivity y lies in some sigma^p(x), so the word lies
+inside sigma^(n+p)(x).  Primitive factor complexity is linear (Cassaigne
+1997), so the closed sets stay small at every length.  The one primitive
+rule whose images all have one letter, a -> a, admits its letter and no
+longer word; it is not iterated.
 
 Legal words are factors of bi-infinite sequences of the subshift.  A word
 of length l is accepted when it lies on a bi-infinite path of the Rauzy
@@ -106,9 +97,8 @@ max_length: the admitted words up to the cap margin + 2 and the
 bi-infinite vertices at both margin orders do not depend on it, so a core
 is built once per (substitution, cap) likewise, and a primitive rule's
 word store once per rule.  A primitive table builds a core, at
-max_length + 1, only for stabilized_at (read by analyze alone) and for
-the lengths the lift cannot bound; its words up to BASE_CAP come from no
-core.  The store also keeps a rule's tameness
+max_length + 1, only for stabilized_at (read by analyze alone); its words
+come from no core.  The store also keeps a rule's tameness
 report, and its collared rule and lattice per radius, which each stage
 reads itself; keyword options to ``_once`` (a letter budget) are not part
 of the key, so a caller checks its own against what it gets.  A build
@@ -125,7 +115,6 @@ import contextlib
 import contextvars
 import copy
 import functools
-import itertools
 
 from .core import Substitution, Word
 from .errors import EdgeBudgetError, MarginError, SubstdynError
@@ -135,9 +124,9 @@ from .graphs import biinfinite_path_nodes
 # explicitly (guards accidental blow-ups on large alphabets).
 DEFAULT_MARGIN_CAP = 400
 
-# A primitive rule's word store closes its words of this length, takes
-# shorter ones as their prefixes and lifts longer ones, so the table of a
-# radius-2 collar (length 6) needs no lift.
+# A primitive rule's word store closes its words of this length when it is
+# built, and takes shorter ones as their prefixes, so the tables of a
+# radius-2 collar (length 6) close no other length.
 BASE_CAP = 7
 
 # The periodic-point search checks windows of this length first, then of
@@ -282,73 +271,51 @@ class _LanguageCore:
 
 
 class _PrimitiveWords:
-    """A primitive rule's admitted words, each length derived once: the
-    BASE_CAP-words by closing one of them under its leading windows, the
-    shorter ones as their prefixes, the longer ones by the lift."""
+    """A primitive rule's admitted words, each length derived once: as the
+    prefixes of the least longer length derived, or else by closing one
+    word of the length under its leading windows."""
 
     def __init__(self, sub: Substitution):
         self.sub = sub
         letters = sub.encode(sub.alphabet)
         self._image_len = {c: len(sub.apply_coded(c)) for c in letters}
-        self._words: dict[int, frozenset[str]] = {0: frozenset(("",))}
-        if sub.max_image_len == 1:
-            # a -> a: no image grows, and its letter is its only word
-            self._words[1] = frozenset(letters)
-            self._base: frozenset[str] = frozenset()
-        else:
-            self._base = self._close(letters[0])
+        # sigma^N(b) holds every letter, so each letter is admitted
+        self._words: dict[int, frozenset[str]] = {0: frozenset(("",)),
+                                                  1: frozenset(letters)}
+        self._words[BASE_CAP] = self._close(BASE_CAP)
 
-    def _close(self, letter: str) -> frozenset[str]:
-        # a prefix of some sigma^k(letter), closed under the windows of
-        # sigma(w) that start inside sigma(w[0])
+    def _close(self, cap: int) -> frozenset[str]:
+        # a prefix of some sigma^k(a), closed under the windows of sigma(w)
+        # that start inside sigma(w[0])
+        if self.sub.max_image_len == 1:
+            # a -> a: no image grows, and its letter is its only word
+            return frozenset()
         apply, image_len = self.sub.apply_coded, self._image_len
-        word = letter
-        while len(word) < BASE_CAP:
+        word = next(iter(image_len))  # the first letter
+        while len(word) < cap:
             word = apply(word)
-        todo = [word[:BASE_CAP]]
+        todo = [word[:cap]]
         words = set(todo)
         for word in todo:
             image = apply(word)
             for i in range(image_len[word[0]]):
-                window = image[i:i + BASE_CAP]
+                window = image[i:i + cap]
                 if window not in words:
                     words.add(window)
                     todo.append(window)
         return frozenset(words)
 
-    def admitted(self, length: int, table: LanguageTable) -> frozenset[str]:
-        """The words of a length; ``table``'s core serves one the lift cannot bound."""
-        if length not in self._words:
-            self._words[length] = self._derive(length, table)
-        return self._words[length]
-
-    @functools.cached_property
-    def _least(self) -> dict[int, int]:
-        # M_k, over the k-prefixes of the BASE_CAP-words; no admitted
-        # k-words (a -> a) give M_k = k, bounding nothing
-        image_len = self._image_len
-        prefix_lengths = [tuple(itertools.accumulate(image_len[c] for c in w))
-                          for w in self._base]
-        return {k: min((lengths[k - 1] for lengths in prefix_lengths), default=k)
-                for k in range(1, BASE_CAP + 1)}
-
-    def _derive(self, length: int, table: LanguageTable) -> frozenset[str]:
-        if length <= BASE_CAP:
-            return frozenset(w[:length] for w in self._base)
-        apply = self.sub.apply_coded
-        m = min(1 + k * -(-(length - 1) // least) for k, least in self._least.items())
-        if m >= length:
-            # the longest length derived below, checked directly
-            m = max(n for n in (BASE_CAP, *self._words) if n < length)
-            if any(len(apply(v[1:])) < length - 1 for v in self.admitted(m, table)):
-                m = length
-        if m >= length:
-            return table._core._admitted_exact_length(length, keep=table.max_length)
-        words = set()
-        for v in self.admitted(m, table):
-            image = apply(v)
-            words.update(image[i:i + length] for i in range(len(apply(v[0]))))
-        return frozenset(words)
+    def admitted(self, length: int) -> frozenset[str]:
+        """The words of a length."""
+        words = self._words.get(length)
+        if words is None:
+            longer = min((n for n in self._words if n > length), default=None)
+            if longer is None:
+                words = self._close(length)
+            else:
+                words = frozenset(w[:length] for w in self._words[longer])
+            self._words[length] = words
+        return words
 
 
 class LanguageTable:
@@ -378,8 +345,7 @@ class LanguageTable:
 
     @functools.cached_property
     def _core(self) -> _LanguageCore:
-        # a primitive table builds it only for stabilized_at and for the
-        # lengths the lift cannot bound
+        # a primitive table builds it only for stabilized_at
         return _once(_LanguageCore, self.sub, self._cap)
 
     @property
@@ -396,7 +362,7 @@ class LanguageTable:
         if not 0 <= length <= self._cap:
             raise MarginError(f"admitted length {length} outside 0..{self._cap}, the computed cap")
         if self._primitive:
-            return self._words.admitted(length, self)
+            return self._words.admitted(length)
         return self._core._admitted_exact_length(length, keep=self.max_length)
 
     # -- legal ------------------------------------------------------------

@@ -234,7 +234,6 @@ class DerivedSubstitution:
     psi: Substitution
     alpha: dict[str, Word]
     system: ReturnWordSystem
-    primitive: bool
 
 
 def _gamma_token(sub: Substitution, v: Word) -> str:
@@ -267,11 +266,10 @@ def build_psi(sub: Substitution, rws: ReturnWordSystem) -> DerivedSubstitution:
             raise DerivedLengthError(
                 f"derived image of {v!r} expands to {expanded} letters, "
                 f"not |sigma^{rws.power}({v!r})|")
-    primitive = psi.is_primitive()
-    if not primitive:
+    if not psi.is_primitive():
         raise PrimitivityError("derived return-word substitution is not primitive; "
                                "the input is unlikely to be minimal")
-    return DerivedSubstitution(psi=psi, alpha=alpha, system=rws, primitive=True)
+    return DerivedSubstitution(psi=psi, alpha=alpha, system=rws)
 
 
 @dataclass(frozen=True)

@@ -266,7 +266,7 @@ def test_find_seed_reads_no_language_table(monkeypatch):
     counted(classify, "table_for")
     counted(language, "table_for")
     counted(language._LanguageCore, "_admitted_exact_length")
-    counted(language._PrimitiveWords, "_derive")
+    counted(language._PrimitiveWords, "_close")
     assert len(TAME_CORPUS) == 25
     for name in TAME_CORPUS:
         sub = corpus.get(name)

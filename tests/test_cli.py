@@ -121,6 +121,28 @@ def test_primitivize_unwritable_out_dir_exits_1(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name, emit, kinds", [
+    ("sigma_3", "both", ["psi", "theta"]), ("sigma_3", "psi", ["psi"]),
+    ("sigma_3", "theta", ["theta"]), ("wild_ab", "both", ["primitive"])])
+def test_primitivize_writes_the_emitted_rules(tmp_path, capsys, name, emit, kinds):
+    # each emitted rule goes to <stem>.<kind>.txt, announced on stderr in
+    # that order, and nothing else is written; wild_ab, a single periodic
+    # orbit, writes its bypass rule alone
+    from substdyn.corpus import get
+    from substdyn.primitivize import primitivize
+    code, _, err = run_cli(capsys, "primitivize", f"corpus:{name}", "--emit", emit,
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    result = primitivize(get(name))
+    rules = {"psi": lambda: result.derived.psi, "theta": lambda: result.conjugate.theta,
+             "primitive": lambda: result.bypass}
+    paths = [tmp_path / f"{name}.{kind}.txt" for kind in kinds]
+    assert err.splitlines() == [f"wrote {path}" for path in paths]
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    for kind, path in zip(kinds, paths):
+        assert path.read_text(encoding="utf-8") == rules[kind]().to_text()
+
+
 def test_complex_dot(tmp_path, capsys):
     dot = tmp_path / "out.dot"
     code, out, _ = run_cli(capsys, "complex", "corpus:fib_handle",
@@ -228,6 +250,20 @@ def test_extend_command(tmp_path, capsys):
                            "--inject", "a->0:4,5")
     assert code == 0
     assert "a -> 001aa101" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--inject", "x->a:x"], ["--inject", "x->a;y->b", "--power", "-1"],
+    ["--inject", "x->a;y->b", "--power", "0"], ["--inject", "x->a:3,5;y->b", "--power", "4"]],
+    ids=["non_integer_position", "negative_power", "zero_power", "letter_without_positions"])
+def test_extend_rejects_bad_options(tmp_path, capsys, flags):
+    carrier = tmp_path / "carrier.txt"
+    carrier.write_text("a -> ab\nb -> a\n")
+    handle = tmp_path / "handle.txt"
+    handle.write_text("x -> xy\ny -> x\n")
+    code, out, err = run_cli(capsys, "extend", str(carrier), str(handle), *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_compare_bridges(capsys):

@@ -316,41 +316,41 @@ def _assert_same_table(table, fresh):
     ids=list(CORPUS) + [f"non_primitive_{i}" for i in range(20)])
 def test_tables_share_one_core_per_cap(sub, monkeypatch):
     # a non-primitive table's cap is margin + 2, and tables of one cap
-    # compute its admitted words once.  A primitive table takes lengths up
-    # to BASE_CAP from its rule's closed word store, lifts longer ones, and
-    # builds its core at max_length + 1 for stabilized_at (or for a length
-    # the lift cannot bound) and no other; inside a session each of those
-    # cores and each derived length is computed once.  Every table equals
-    # one built on its own, outside the session.
+    # compute its admitted words once.  A primitive table takes its words
+    # from its rule's word store, which closes each length that no longer
+    # length derived before it serves, and builds its core at
+    # max_length + 1 for stabilized_at and no other; inside a session each
+    # of those cores and each closed length is computed once.  Every table
+    # equals one built on its own, outside the session.
     if sub.is_primitive():
         keys = [(4, None), (4, 9), (4, 30), (20, None), (20, 30), (12, None)]
     else:
         keys = [(2, 5), (5, 5), (4, 5), (1, None), (5, None), (3, None)]
     expected = [_table_view(LanguageTable(sub, max_length, margin))
                 for max_length, margin in keys]
-    computed, derived = [], []
+    computed, closed = [], []
     compute = language._LanguageCore._compute_admitted
-    derive = language._PrimitiveWords._derive
+    close = language._PrimitiveWords._close
 
     def counting(self):
         computed.append(self._cap)
         return compute(self)
 
-    def counting_derive(self, length, table):
-        derived.append(length)
-        return derive(self, length, table)
+    def counting_close(self, cap):
+        closed.append(cap)
+        return close(self, cap)
 
     monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
-    monkeypatch.setattr(language._PrimitiveWords, "_derive", counting_derive)
+    monkeypatch.setattr(language._PrimitiveWords, "_close", counting_close)
     with language.session():
         tables = [table_for(sub, max_length, margin) for max_length, margin in keys]
         assert [_table_view(table) for table in tables] == expected
     assert len(computed) == len(set(computed))
     if sub.is_primitive():
-        assert len(derived) == len(set(derived)) and max(derived) == 21
+        assert len(closed) == len(set(closed)) and max(closed) == 21
         assert sorted(computed) == sorted({table._cap for table in tables})
     else:
-        assert derived == []
+        assert closed == []
         assert sorted(computed) == sorted({table._cap for table in tables})
         assert len(computed) < len(tables)
 
@@ -417,30 +417,35 @@ def _closure_sample(group):
     return renamed
 
 
+# the longest length the closure oracle checks, past the lengths 11, 12,
+# 17, 18, 23 and 24 that the CIS context asks for on the corpus
+CLOSED_TOP = 24
+
+
 @pytest.mark.parametrize("group", ["seeded", "entries", "thetas", "wide", "renamed",
                                    "fixed_letter"])
 def test_closed_words_match_the_iteration(group):
-    # a primitive rule's words up to BASE_CAP, closed from one word under
-    # its leading windows, equal the iteration core's at cap BASE_CAP at
-    # every length, and M_k the least image of its admitted k-words
+    # a primitive rule's words, each length closed from one word under its
+    # leading windows or taken as the prefixes of a longer length closed
+    # before it, equal the iteration core's at every length up to
+    # CLOSED_TOP, whether the lengths are asked for in ascending or in
+    # descending order (a core derives each length below its cap exactly)
     subs = _closure_sample(group)
     assert subs
     for sub in subs:
-        reference = language._LanguageCore(sub, BASE_CAP)
-        table = LanguageTable(sub, BASE_CAP)
-        least = {}
-        for length in range(BASE_CAP + 1):
-            expected = reference._admitted_exact_length(length, keep=BASE_CAP)
-            assert table.admitted_coded(length) == expected, (sub.rules, length)
-            if length:
-                least[length] = min((len(sub.apply_coded(w)) for w in expected),
-                                    default=length)
-        assert table._words._least == least, sub.rules
+        reference = language._LanguageCore(sub, CLOSED_TOP)
+        expected = [reference._admitted_exact_length(length, keep=CLOSED_TOP)
+                    for length in range(CLOSED_TOP + 1)]
+        for lengths in (range(CLOSED_TOP + 1), range(CLOSED_TOP, -1, -1)):
+            table = LanguageTable(sub, CLOSED_TOP)
+            for length in lengths:
+                assert table.admitted_coded(length) == expected[length], (sub.rules, length)
 
 
 def _lift_length(sub):
-    # the tameness table's length, past BASE_CAP so that every rule lifts,
-    # and at most the longest of the 8-letter benchmark rules
+    # the tameness table's length, past BASE_CAP so that every rule closes
+    # a longer length, and at most the longest of the 8-letter benchmark
+    # rules
     return min(max(tameness_table_length(sub), 2 * BASE_CAP), 48)
 
 
@@ -477,24 +482,20 @@ def test_lifted_lengths_match_the_iteration_on_corpus_thetas():
 @pytest.mark.parametrize("text", ["a -> a\n", FALLBACK_RULE, LONG_RUN_RULE],
                          ids=["fixed_letter", "short_images", "long_run"])
 def test_lifted_lengths_match_the_iteration_where_the_lift_falls_back(text):
-    # the block bound gives no m for some lengths of these rules; the first
-    # two lift them by the direct check, the last falls back at length 8
+    # a -> a admits no word past length 1, and the other two admit long
+    # words whose images barely grow: FALLBACK_RULE's short images, and
+    # LONG_RUN_RULE's cccccc of one-letter images
     _assert_lift_matches_the_iteration(parse_substitution(text))
 
 
-@pytest.mark.parametrize("text, falls_back", [
-    ("a -> a\n", False), (FALLBACK_RULE, False), (LONG_RUN_RULE, True),
-    ("a -> ab\nb -> a\n", False), ("a -> ab\nb -> ac\nc -> a\n", False)],
-    ids=["fixed_letter", "short_images", "long_run", "fibonacci", "tribonacci"])
-def test_the_lift_falls_back_to_the_table_core(text, falls_back, monkeypatch):
-    # a -> a admits no word past length 1, so no block bounds m, and the
-    # short images of FALLBACK_RULE keep M_k <= k up to k = 4, so the block
-    # bound gives no m below 11 for length 11; in both the length below
-    # passes the direct check.  LONG_RUN_RULE admits cccccc, whose letters
-    # have one-letter images, so no m < 8 serves length 8.
-    # Fibonacci and tribonacci lift every length past BASE_CAP.
-    sub = parse_substitution(text)
-    table = LanguageTable(sub, 30)
+@pytest.mark.parametrize("texts", [
+    ["a -> a\n"], [FALLBACK_RULE], [LONG_RUN_RULE], ["a -> ab\nb -> a\n"],
+    ["a -> ab\nb -> ac\nc -> a\n"], None],
+    ids=["fixed_letter", "short_images", "long_run", "fibonacci", "tribonacci", "seeded"])
+def test_primitive_tables_build_no_core_for_their_words(texts, monkeypatch):
+    # a primitive table reads every admitted and legal length from its
+    # rule's word store; only stabilized_at builds the core, at its cap
+    subs = _primitive_sample() if texts is None else [parse_substitution(t) for t in texts]
     caps = []
     compute = language._LanguageCore._compute_admitted
 
@@ -503,38 +504,16 @@ def test_the_lift_falls_back_to_the_table_core(text, falls_back, monkeypatch):
         return compute(self)
 
     monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
-    for length in range(table._cap + 1):
-        table.admitted_coded(length)
-    assert caps == ([table._cap] if falls_back else [])
-
-
-def test_the_lift_falls_back_on_few_rules(monkeypatch):
-    # the distinct rules of the lift tests, reading every length up to the
-    # lift length in turn: 10 fell back to the table core with the block
-    # bound alone, and the direct check of the length below lifts all but
-    # two that admit a 6-letter word of one-letter images
-    rules = {sub.to_text(): sub for sub in
-             _primitive_sample() + [CORPUS[name].substitution() for name in PRIMITIVE_ENTRIES]
-             + _corpus_thetas() + [parse_substitution(text) for text in ("a -> a\n", FALLBACK_RULE)]}
-    cores = []
-    compute = language._LanguageCore._compute_admitted
-
-    def counting(self):
-        cores.append(self._cap)
-        return compute(self)
-
-    monkeypatch.setattr(language._LanguageCore, "_compute_admitted", counting)
-    fell_back = []
-    for text, sub in rules.items():
-        top = _lift_length(sub)
-        table = LanguageTable(sub, top)
-        cores.clear()
-        for length in range(top + 2):
+    for sub in subs:
+        table = LanguageTable(sub, 30)
+        for length in range(table._cap + 1):
             table.admitted_coded(length)
-        if table._cap in cores:
-            fell_back.append(text)
-    assert len(rules) == 325
-    assert LONG_RUN_RULE in fell_back and len(fell_back) == 2, fell_back
+        for length in range(table.max_length + 1):
+            table.legal_coded(length)
+        assert caps == [], sub.rules
+        assert table.stabilized_at >= 0
+        assert caps == [table._cap], sub.rules
+        caps.clear()
 
 
 def test_fixed_letter_admits_its_letter_alone():
@@ -547,8 +526,7 @@ def test_fixed_letter_admits_its_letter_alone():
 def test_cohomology_lifts_its_long_tables(tmp_path, capsys, monkeypatch):
     # cohomology --radius 2 on an 8-letter primitive rule asks for tables of
     # length 6 (the collar) and 48 (tameness, the periodic search); the
-    # rule's closed BASE_CAP-words serve the first, and the lift the second,
-    # so no iteration core is built
+    # rule's word store serves both, so no iteration core is built
     path = tmp_path / "k8.txt"
     path.write_text("a -> fgg\nb -> ad\nc -> ech\nd -> dag\n"
                     "e -> ahe\nf -> bce\ng -> ee\nh -> gb\n")
