@@ -176,13 +176,17 @@ def eventual_rank(matrix):
 
     The rank is the size of the lattice basis of A^dim's columns: its
     vectors have distinct leading rows, so they are independent, and they
-    span the column lattice.  Unimodularity is |det(restricted)| = 1.  The
-    determinant is first taken modulo a fixed prime p, by elimination with
-    every entry below p.  A determinant of 1 or -1 leaves the residue 1 or
-    p - 1, so any other residue proves |det| != 1.  Only those two residues
-    fall through to the exact determinant, whose intermediate entries grow
-    with the restricted matrix's (thousands of bits on random 6-letter
-    rules at radius 2)."""
+    span the column lattice.  A^dim comes from ``intlin.mat_pow``'s packed
+    row steps, and the image of each basis vector from the nonzeros of A's
+    rows alone: H1 matrices are sparse.  Each image is solved in the basis
+    with every lattice check kept.
+
+    Unimodularity is |det(restricted)| = 1.  The determinant is first taken
+    modulo a fixed prime p, by elimination with every entry below p.  A
+    determinant of 1 or -1 leaves the residue 1 or p - 1, so any other
+    residue proves |det| != 1.  Only those two residues fall through to the
+    exact determinant, whose intermediate entries grow with the restricted
+    matrix's (thousands of bits on random 6-letter rules at radius 2)."""
     n, m = intlin.dims(matrix)
     if n != m:
         raise intlin.DimensionError("eventual rank of a non-square matrix")
@@ -192,10 +196,9 @@ def eventual_rank(matrix):
     r = len(basis)
     if r == 0:
         return 0, True, []
-    image = [[sum(matrix[i][k] * col[k] for k in range(n)) for col in basis]
-             for i in range(n)]
-    restricted_cols = [intlin.express_in_basis(basis, [image[i][j] for i in range(n)])
-                       for j in range(r)]
+    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
+    restricted_cols = [intlin.express_in_basis(
+        basis, [sum(x * col[k] for k, x in row) for row in sparse]) for col in basis]
     restricted = [[restricted_cols[j][i] for j in range(r)] for i in range(r)]
     unimodular = (intlin.det_mod(restricted, _DET_PRIME) in (1, _DET_PRIME - 1)
                   and abs(intlin.det(restricted)) == 1)

@@ -81,6 +81,14 @@ def _load(path: str) -> Substitution:
         raise SubstdynError(f"cannot read {path}: {exc}") from None
 
 
+def _write_text(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SubstdynError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _classification_dict(sub, report):
     data = {
         "verdict": report.verdict,
@@ -273,13 +281,9 @@ def cmd_primitivize(args):
         outputs = [(kind, rule) for kind, rule in (("psi", result.derived.psi),
                                                    ("theta", result.conjugate.theta))
                    if args.emit in (kind, "both")]
-    written = []
     for kind, rule in outputs:
         path = os.path.join(out_dir, f"{stem}.{kind}.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(rule.to_text())
-        written.append(path)
-    for path in written:
+        _write_text(path, rule.to_text())
         print(f"wrote {path}", file=sys.stderr)
     return 0
 
@@ -324,8 +328,7 @@ def cmd_complex(args):
             for i, node in enumerate(sorted(proper, key=lambda n: len(n.edges))):
                 for e in sorted(node.edges):
                     highlights.setdefault(e, palette[i % len(palette)])
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(complex_to_dot(complex_, highlights or None))
+        _write_text(args.dot, complex_to_dot(complex_, highlights or None))
         print(f"wrote {args.dot}", file=sys.stderr)
     return 0
 
@@ -368,8 +371,7 @@ def cmd_cis(args):
     lattice = lattice_for(sub, radius, max_letters=_max_edges(args))
     _emit(_lattice_dict(lattice))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(lattice_to_dot(lattice))
+        _write_text(args.dot, lattice_to_dot(lattice))
         print(f"wrote {args.dot}", file=sys.stderr)
     return 0
 

@@ -4,6 +4,16 @@ Matrices are rectangular lists of row lists of Python ints, so every result
 is exact at arbitrary precision.  Elimination is fraction-free (Bareiss);
 there is deliberately no floating-point code path anywhere in this module.
 Public functions never mutate their arguments.
+
+``mat_pow`` holds each row of the running power as one Python int, its
+entries in fixed-width slots: the row (v_0, ..., v_{n-1}) is the integer
+sum v_j * 2^(w*j).  That packing is Z-linear, so one step by A, a packed row
+``sum(x * packed[k] for k, x in row)`` over the nonzeros of a row of A, is
+exact whatever the slots hold on the way.  Only the final unpack needs room:
+with every |entry| below 2^(w-1), adding 2^(w-1) to each slot leaves it in
+[0, 2^w), so the slots are the base-2^w digits and nothing borrows.  The
+width comes from an exact bound on the entries, |(A^e)_ij| <= (|A|^e 1)_i,
+the largest row sum of |A|^e, taken by e sparse matrix-vector steps on |A|.
 """
 
 from __future__ import annotations
@@ -24,10 +34,6 @@ def dims(matrix):
         if len(row) != cols:
             raise DimensionError("ragged matrix")
     return rows, cols
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def zeros(rows, cols):
@@ -62,20 +68,35 @@ def mat_mul(a, b):
 
 
 def mat_pow(matrix, exponent):
+    """A^e, by e steps of A on the left of packed rows (module docstring).
+
+    A step costs one big-int multiply-add per nonzero of A, so a sparse A
+    is stepped by, not squared: its squares fill in."""
     rows, cols = dims(matrix)
     if rows != cols:
         raise DimensionError("power of a non-square matrix")
     if exponent < 0:
         raise DimensionError("negative matrix power")
-    result = identity(rows)
-    base = copy(matrix)
-    e = exponent
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
+    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
+    magnitudes = [[(k, abs(x)) for k, x in row] for row in sparse]
+    bound = [1] * rows
+    for _ in range(exponent):
+        bound = [sum(x * bound[k] for k, x in row) for row in magnitudes]
+    width = max(bound, default=0).bit_length() + 1
+    packed = [1 << (width * i) for i in range(rows)]
+    for _ in range(exponent):
+        packed = [sum(x * packed[k] for k, x in row) for row in sparse]
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    offset = half * (((1 << (width * rows)) - 1) // mask)
+    result = []
+    for value in packed:
+        value += offset
+        out = []
+        for _ in range(rows):
+            out.append((value & mask) - half)
+            value >>= width
+        result.append(out)
     return result
 
 
@@ -170,35 +191,35 @@ def column_lattice_basis(matrix):
     rows, cols = dims(matrix)
     work = [[matrix[i][j] for i in range(rows)] for j in range(cols)]  # columns
     basis = []
-    pivot_rows = []
+    placed = {}  # pivot row -> index in basis
     for vec in work:
-        vec = vec[:]
+        lead = 0
         while True:
-            lead = next((i for i, x in enumerate(vec) if x), None)
+            # both vectors are zero before the lead, and each step clears
+            # vec[lead], so the search resumes there and only tails combine
+            lead = next((i for i in range(lead, rows) if vec[i]), None)
             if lead is None:
                 break
-            placed = False
-            for idx, prow in enumerate(pivot_rows):
-                if prow == lead:
-                    a = basis[idx][lead]
-                    b = vec[lead]
-                    if b % a == 0:
-                        q = b // a
-                        vec = [x - q * y for x, y in zip(vec, basis[idx])]
-                    else:
-                        # replace the basis vector by the gcd combination
-                        g, s, t0 = _egcd(a, b)
-                        new = [s * x + t0 * y for x, y in zip(basis[idx], vec)]
-                        vec = [(a // g) * y - (b // g) * x
-                               for x, y in zip(basis[idx], vec)]
-                        basis[idx] = new
-                    placed = True
-                    break
-            if not placed:
+            idx = placed.get(lead)
+            if idx is None:
+                placed[lead] = len(basis)
                 basis.append(vec)
-                pivot_rows.append(lead)
                 break
+            pivot = basis[idx]
+            a = pivot[lead]
+            b = vec[lead]
+            if b % a == 0:
+                q = b // a
+                vec[lead:] = [x - q * y for x, y in zip(vec[lead:], pivot[lead:])]
+            else:
+                # replace the basis vector by the gcd combination
+                g, s, t0 = _egcd(a, b)
+                new = [s * x + t0 * y for x, y in zip(pivot[lead:], vec[lead:])]
+                vec[lead:] = [(a // g) * y - (b // g) * x
+                              for x, y in zip(pivot[lead:], vec[lead:])]
+                pivot[lead:] = new
         # keep basis sorted by pivot row for deterministic output
+    pivot_rows = list(placed)
     order = sorted(range(len(basis)), key=lambda k: pivot_rows[k])
     basis = [basis[k] for k in order]
     pivot_rows.sort()
@@ -241,12 +262,14 @@ def express_in_basis(basis, vector):
     pivots = [next(i for i, x in enumerate(col) if x) for col in basis]
     for idx in sorted(range(len(basis)), key=lambda k: pivots[k]):
         prow = pivots[idx]
-        q, r = divmod(vec[prow], basis[idx][prow])
+        col = basis[idx]
+        q, r = divmod(vec[prow], col[prow])
         if r:
             raise SubstdynError("vector not in lattice")
         coeffs[idx] = q
         if q:
-            vec = [x - q * y for x, y in zip(vec, basis[idx])]
+            # the basis vector is zero before its pivot row
+            vec[prow:] = [x - q * y for x, y in zip(vec[prow:], col[prow:])]
     if any(vec):
         raise SubstdynError("vector not in lattice")
     return coeffs

@@ -1,5 +1,8 @@
 """Integer linear algebra that only the tests use, as oracles: Smith normal
-form, characteristic polynomials and matrix-vector products.
+form, characteristic polynomials, matrix-vector products, and the plain
+list-of-rows forms of the library's direct-limit kernels (``reference_*``:
+the matrix power by squaring, the column lattice basis and the solve in it),
+which the packed and sliced library kernels must equal exactly.
 
 The library functions the tests call are re-exported, so a test imports
 this module as ``intlin`` and reaches them and these oracles under one name.
@@ -7,8 +10,116 @@ this module as ``intlin`` and reaches them and these oracles under one name.
 
 from substdyn.errors import SubstdynError
 from substdyn.intlin import (DimensionError, column_lattice_basis, copy, det,  # noqa: F401
-                             det_mod, dims, express_in_basis, identity, mat_mul,
-                             mat_pow, rank, zeros)
+                             det_mod, dims, express_in_basis, mat_mul, mat_pow,
+                             rank, zeros)
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def reference_mat_pow(matrix, exponent):
+    """A^e by repeated squaring through ``mat_mul``."""
+    rows, cols = dims(matrix)
+    if rows != cols:
+        raise DimensionError("power of a non-square matrix")
+    if exponent < 0:
+        raise DimensionError("negative matrix power")
+    result = identity(rows)
+    base = copy(matrix)
+    e = exponent
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        e >>= 1
+        if e:
+            base = mat_mul(base, base)
+    return result
+
+
+def reference_column_lattice_basis(matrix):
+    """Column-style Hermite reduction on full-length vectors, scanning the
+    pivot rows for each lead."""
+    rows, cols = dims(matrix)
+    work = [[matrix[i][j] for i in range(rows)] for j in range(cols)]  # columns
+    basis = []
+    pivot_rows = []
+    for vec in work:
+        vec = vec[:]
+        while True:
+            lead = next((i for i, x in enumerate(vec) if x), None)
+            if lead is None:
+                break
+            placed = False
+            for idx, prow in enumerate(pivot_rows):
+                if prow == lead:
+                    a = basis[idx][lead]
+                    b = vec[lead]
+                    if b % a == 0:
+                        q = b // a
+                        vec = [x - q * y for x, y in zip(vec, basis[idx])]
+                    else:
+                        # replace the basis vector by the gcd combination
+                        g, s, t0 = _egcd(a, b)
+                        new = [s * x + t0 * y for x, y in zip(basis[idx], vec)]
+                        vec = [(a // g) * y - (b // g) * x
+                               for x, y in zip(basis[idx], vec)]
+                        basis[idx] = new
+                    placed = True
+                    break
+            if not placed:
+                basis.append(vec)
+                pivot_rows.append(lead)
+                break
+        # keep basis sorted by pivot row for deterministic output
+    order = sorted(range(len(basis)), key=lambda k: pivot_rows[k])
+    basis = [basis[k] for k in order]
+    pivot_rows.sort()
+    # reduce entries above each pivot for a canonical form
+    for idx in range(len(basis) - 1, -1, -1):
+        prow = pivot_rows[idx]
+        pval = basis[idx][prow]
+        if pval < 0:
+            basis[idx] = [-x for x in basis[idx]]
+            pval = -pval
+        for other in range(idx):
+            q = basis[other][prow] // pval
+            if q:
+                basis[other] = [x - q * y for x, y in zip(basis[other], basis[idx])]
+    return basis
+
+
+def _egcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def reference_express_in_basis(basis, vector):
+    """Coefficients of ``vector`` in ``basis``, subtracting full-length
+    vectors."""
+    vec = list(vector)
+    coeffs = [0] * len(basis)
+    pivots = [next(i for i, x in enumerate(col) if x) for col in basis]
+    for idx in sorted(range(len(basis)), key=lambda k: pivots[k]):
+        prow = pivots[idx]
+        q, r = divmod(vec[prow], basis[idx][prow])
+        if r:
+            raise SubstdynError("vector not in lattice")
+        coeffs[idx] = q
+        if q:
+            vec = [x - q * y for x, y in zip(vec, basis[idx])]
+    if any(vec):
+        raise SubstdynError("vector not in lattice")
+    return coeffs
 
 
 def mat_vec(a, v):

@@ -3,11 +3,12 @@ import random
 import pytest
 
 import intlin_oracles as intlin
+from substdyn import apcomplex
 from substdyn.apcomplex import (build_complex, complex_to_dot, direct_limit,
                                 eventual_rank, h1_presentation, induced_map,
                                 inverse_limit_presentation)
 from substdyn.collar import collar
-from substdyn.core import parse_substitution
+from substdyn.core import Substitution, parse_substitution
 from substdyn.classify import decide_tameness
 from substdyn.corpus import CORPUS, sigma_family
 from substdyn.errors import SubstdynError, WildInputError
@@ -163,6 +164,48 @@ def test_eventual_rank_matches_char_poly_and_power_rank():
         assert len(restricted) == rank
         verdicts.add((rank > 0, unimodular))
     assert verdicts == {(True, True), (True, False), (False, True)}
+
+
+def _random_primitive(rng, letters):
+    """Images of length 2-3, as in perfbench's ``alphabet_scale`` pool,
+    redrawn until the rule is primitive."""
+    alphabet = "abcdefgh"[:letters]
+    while True:
+        sub = Substitution([(a, tuple(rng.choice(alphabet) for _ in range(rng.choice((2, 3)))))
+                            for a in alphabet], alphabet=tuple(alphabet))
+        if sub.is_primitive():
+            return sub
+
+
+def _reference_restricted(matrix):
+    """The restricted matrix of ``eventual_rank``, from the reference
+    kernels and a dense image product."""
+    n = len(matrix)
+    basis = intlin.reference_column_lattice_basis(intlin.reference_mat_pow(matrix, n))
+    images = [[sum(matrix[i][k] * col[k] for k in range(n)) for i in range(n)]
+              for col in basis]
+    columns = [intlin.reference_express_in_basis(basis, image) for image in images]
+    return [[column[i] for column in columns] for i in range(len(basis))]
+
+
+def test_eventual_rank_equals_the_reference_kernels_on_h1_matrices(monkeypatch):
+    # the matrices direct_limit receives for 20 seeded primitive 6-8-letter
+    # rules at radius 2: sparse, of size 8-32, and with lattice bases whose
+    # gcd combinations reach 80,000 bits
+    matrices = []
+    monkeypatch.setattr(apcomplex, "direct_limit", matrices.append)
+    rng = random.Random(1)
+    for _ in range(20):
+        collared = collar(_random_primitive(rng, rng.randint(6, 8)), 2)
+        complex_ = build_complex(collared)
+        h1_presentation(complex_, induced_map(collared, complex_))
+    monkeypatch.undo()
+    assert len(matrices) == 20
+    for matrix in matrices:
+        n = len(matrix)
+        assert intlin.mat_pow(matrix, n) == intlin.reference_mat_pow(matrix, n)
+        restricted = _reference_restricted(matrix)
+        assert eventual_rank(matrix)[::2] == (len(restricted), restricted)
 
 
 def test_inverse_limit_presentations(chacon, fib_handle):

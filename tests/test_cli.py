@@ -143,6 +143,27 @@ def test_primitivize_writes_the_emitted_rules(tmp_path, capsys, name, emit, kind
         assert path.read_text(encoding="utf-8") == rules[kind]().to_text()
 
 
+@pytest.mark.parametrize("argv, blocked, written", [
+    (["primitivize", "corpus:sigma_3", "--out-dir", "{dir}"], "sigma_3.psi.txt", []),
+    (["primitivize", "corpus:sigma_3", "--out-dir", "{dir}"], "sigma_3.theta.txt",
+     ["sigma_3.psi.txt"]),
+    (["complex", "corpus:fibonacci", "--dot", "{dir}/out.dot"], "out.dot", []),
+    (["cis", "corpus:fib_handle", "--dot", "{dir}/hasse.dot"], "hasse.dot", [])])
+def test_unwritable_output_file_exits_1(tmp_path, capsys, argv, blocked, written):
+    # the output path is a directory: the report is already on stdout, each
+    # file written before it is announced, and the failed write ends in one
+    # error line, not a traceback
+    target = tmp_path / blocked
+    target.mkdir()
+    code, out, err = run_cli(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+    assert code == 1
+    assert json.loads(out)
+    assert err.splitlines() == [f"wrote {tmp_path / name}" for name in written] + \
+        [f"error: cannot write {target}: Is a directory"]
+    assert target.is_dir() and not any(target.iterdir())
+    assert sorted(tmp_path.iterdir()) == sorted([target] + [tmp_path / name for name in written])
+
+
 def test_complex_dot(tmp_path, capsys):
     dot = tmp_path / "out.dot"
     code, out, _ = run_cli(capsys, "complex", "corpus:fib_handle",
