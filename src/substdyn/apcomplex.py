@@ -179,7 +179,7 @@ def eventual_rank(matrix):
     span the column lattice.  A^dim comes from ``intlin.mat_pow``'s packed
     row steps, and the image of each basis vector from the nonzeros of A's
     rows alone: H1 matrices are sparse.  Each image is solved in the basis
-    with every lattice check kept.
+    with every lattice check kept, the basis's leading rows found once.
 
     Unimodularity is |det(restricted)| = 1.  The determinant is first taken
     modulo a fixed prime p, by elimination with every entry below p.  A
@@ -197,8 +197,9 @@ def eventual_rank(matrix):
     if r == 0:
         return 0, True, []
     sparse = [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
-    restricted_cols = [intlin.express_in_basis(
-        basis, [sum(x * col[k] for k, x in row) for row in sparse]) for col in basis]
+    leads = intlin._basis_leads(basis)
+    restricted_cols = [intlin._solve_in_basis(
+        basis, leads, [sum(x * col[k] for k, x in row) for row in sparse]) for col in basis]
     restricted = [[restricted_cols[j][i] for j in range(r)] for i in range(r)]
     unimodular = (intlin.det_mod(restricted, _DET_PRIME) in (1, _DET_PRIME - 1)
                   and abs(intlin.det(restricted)) == 1)

@@ -386,7 +386,11 @@ def is_minimal(sub: Substitution, table: LanguageTable | None = None,
     wild ones are minimal iff the subshift is a single periodic orbit; tame
     non-primitive ones are probed by a linear-recurrence search on
     ``table`` (``minimality_table_length`` by default), with the
-    invariant-subspace lattice as the certifying negative oracle.
+    invariant-subspace lattice as the certifying negative oracle.  The
+    lattice is read first: two nonempty closed invariant subspaces prove
+    the rule is not minimal whatever the recurrence search finds to the
+    table bound, which a rule can pass without being minimal.  If the
+    lattice cannot be built, the recurrence search decides alone.
 
     Tameness is ``decide_tameness(sub)`` whatever ``table`` is, and the
     oracle's lattice ``cis.lattice_for(sub, n_sigma)``, both session-wide."""
@@ -404,6 +408,30 @@ def is_minimal(sub: Substitution, table: LanguageTable | None = None,
                                 reason="wild with a sequence outside the periodic orbit")
     if table is None:
         table = table_for(sub, minimality_table_length(sub))
+    lattice = None
+    if use_cis:
+        from .cis import lattice_for
+        try:
+            lattice = lattice_for(sub, report.n_sigma)
+        except SubstdynError:
+            pass
+    nonempty = [node for node in lattice.nodes if node.edges] if lattice is not None else []
+    if len(nonempty) >= 2:
+        small = min(nonempty, key=lambda node: len(node.edges))
+        big = max(nonempty, key=lambda node: len(node.edges))
+        outside_edges = sorted(big.edges - small.edges)
+        u = lattice.collared.letters[outside_edges[0]].context
+        coded_u = sub.encode(u)
+        # the legal words have one length, so with each letter coded by its
+        # token's rank they compare as their token tuples do, and only the
+        # least is decoded
+        by_token = str.maketrans(sub.encode(sorted(sub.alphabet)),
+                                 "".join(map(chr, range(len(sub)))))
+        v = min((w for w in table.legal_coded(table.max_length) if coded_u not in w),
+                key=lambda w: w.translate(by_token), default=None)
+        witness = (u, sub.decode(v)) if v is not None else None
+        return MinimalityResult("no", witness=witness,
+                                reason="two distinct nonempty closed invariant subspaces")
     constant = _recurrence_constant(table)
     if constant is not None:
         if table.legal_exact:
@@ -413,26 +441,10 @@ def is_minimal(sub: Substitution, table: LanguageTable | None = None,
         return MinimalityResult("unknown", constant=constant,
                                 reason="recurrence holds but legality not stabilised",
                                 bound=table.max_length)
-    if use_cis:
-        from .cis import lattice_for
-        try:
-            lattice = lattice_for(sub, report.n_sigma)
-        except SubstdynError:
-            return MinimalityResult("unknown", reason="recurrence failed; lattice unavailable",
-                                    bound=table.max_length)
-        nonempty = [node for node in lattice.nodes if node.edges]
-        if len(nonempty) >= 2:
-            small = min(nonempty, key=lambda node: len(node.edges))
-            big = max(nonempty, key=lambda node: len(node.edges))
-            outside_edges = sorted(big.edges - small.edges)
-            u = lattice.collared.letters[outside_edges[0]].context
-            coded_u = sub.encode(u)
-            v = min((sub.decode(w) for w in table.legal_coded(table.max_length)
-                     if coded_u not in w), default=None)
-            witness = (u, v) if v is not None else None
-            return MinimalityResult("no", witness=witness,
-                                    reason="two distinct nonempty closed invariant subspaces")
-        return MinimalityResult("unknown", reason="recurrence inconclusive; lattice trivial",
-                                bound=table.max_length)
-    return MinimalityResult("unknown", reason="recurrence inconclusive",
-                            bound=table.max_length)
+    if not use_cis:
+        reason = "recurrence inconclusive"
+    elif lattice is None:
+        reason = "recurrence failed; lattice unavailable"
+    else:
+        reason = "recurrence inconclusive; lattice trivial"
+    return MinimalityResult("unknown", reason=reason, bound=table.max_length)

@@ -257,11 +257,20 @@ def express_in_basis(basis, vector):
     `basis` is a list of column vectors with distinct leading rows (as
     produced by column_lattice_basis).  Raises if the vector is outside the
     lattice."""
+    return _solve_in_basis(basis, _basis_leads(basis), vector)
+
+
+def _basis_leads(basis):
+    """(leading row, index) of each basis vector, by leading row: what
+    ``_solve_in_basis`` needs of the basis, for solving many vectors."""
+    return sorted((next(i for i, x in enumerate(col) if x), k) for k, col in enumerate(basis))
+
+
+def _solve_in_basis(basis, leads, vector):
+    """``express_in_basis`` with the basis's ``_basis_leads`` given."""
     vec = list(vector)
     coeffs = [0] * len(basis)
-    pivots = [next(i for i, x in enumerate(col) if x) for col in basis]
-    for idx in sorted(range(len(basis)), key=lambda k: pivots[k]):
-        prow = pivots[idx]
+    for prow, idx in leads:
         col = basis[idx]
         q, r = divmod(vec[prow], col[prow])
         if r:

@@ -22,7 +22,14 @@ cap-factors of sigma(u) are determined by those of u, which the expansion
 of every window of every image shows, so a group's successor does not
 depend on whose tail stepped it.  A word's leading windows need only the
 image of its shortest prefix whose image reaches |sigma(w[0])| + cap - 1
-letters.
+letters, and that prefix determines them: its first letter is w[0], and
+the windows are the cap-slices of its image that start before
+|sigma(w[0])|.  So the windows are kept per prefix, and the cap-words that
+share one (on sigma_family(5) at cap 86, 476 words share 90 prefixes)
+expand it once.  A tail's step, to the last cap letters of sigma(tail) and
+the windows of sigma(tail), reads the tail and nothing else, so each
+distinct tail is stepped once per core; the tails of all letters meet few
+distinct strings.
 
 Only the longest admitted words (length cap) and the shorter whole images
 met along the way are kept.  Every other length is derived top-down: each
@@ -72,6 +79,18 @@ at max_length implies agreement below it.  Emptiness of the subshift,
 by contrast, is decided exactly: the subshift is empty iff admitted word
 lengths stay bounded.
 
+The vertices on bi-infinite paths are found by the trimming of
+``graphs.biinfinite_path_nodes``, done here on degree counts, which costs
+less than building the successor and predecessor lists it reads.  The
+edges at order m are the admitted words of length m + 1, from the head
+w[:-1] to the tail w[1:].  Two distinct words never share both head and
+tail, so no two edges are parallel, and a vertex's out-degree and
+in-degree are the numbers of words with it as head and as tail.  The
+neighbours of a trimmed vertex v are found by probing v + x and x + v
+among the edges for each letter x, which meets each of its edges once, as
+the lists would.  A self-loop (v = x...x, with edge v + x) leads back to v,
+which is skipped as removed, as in that function.
+
 The periodic-point search takes its candidates from the table it checks
 against.  A cyclic word u of length p <= max_length can pass only if u is
 legal, because u is a prefix of the first window of its repetition; so the
@@ -115,10 +134,10 @@ import contextlib
 import contextvars
 import copy
 import functools
+from collections import Counter
 
 from .core import Substitution, Word
 from .errors import EdgeBudgetError, MarginError, SubstdynError
-from .graphs import biinfinite_path_nodes
 
 # Hard ceiling on the default margin order; larger orders must be requested
 # explicitly (guards accidental blow-ups on large alphabets).
@@ -171,6 +190,8 @@ class _LanguageCore:
         interned: dict[str, str] = {}
         # cap-word w -> the windows of sigma(w) starting in sigma(w[0])
         leading: dict[str, tuple[str, ...]] = {}
+        # the prefix of w that lead() expands -> the same windows
+        by_prefix: dict[str, tuple[str, ...]] = {}
 
         def lead(word):
             first = image_len[word[0]]
@@ -182,21 +203,28 @@ class _LanguageCore:
                 end += 1
                 if need <= 0:
                     break
-            image = apply(word[:end])
-            return tuple(interned.setdefault(w, w)
-                         for w in (image[i:i + cap] for i in range(first)))
+            prefix = word[:end]
+            grown = by_prefix.get(prefix)
+            if grown is None:
+                image = apply(prefix)
+                grown = by_prefix[prefix] = tuple(
+                    interned.setdefault(w, w) for w in (image[i:i + cap] for i in range(first)))
+            return grown
 
         def windows(image):
             if len(image) <= cap:
-                return {interned.setdefault(image, image)}
-            return {interned.setdefault(w, w)
-                    for w in {image[i:i + cap] for i in range(len(image) - cap + 1)}}
+                return frozenset((interned.setdefault(image, image),))
+            return frozenset(interned.setdefault(w, w)
+                             for w in {image[i:i + cap] for i in range(len(image) - cap + 1)})
 
         letters = sub.encode(sub.alphabet)
         state = tuple(frozenset((c,)) for c in letters)
         # the last cap letters of sigma^k(a) per letter (all of it when
         # shorter); kept out of the state, which it does not determine
         tails = list(letters)
+        # tail -> (the last cap letters of sigma(tail), the windows of
+        # sigma(tail)), a function of the tail alone
+        tail_step: dict[str, tuple[str, frozenset[str]]] = {}
         seen = {state: 0}
         # group -> its successor, which depends on the group alone; the
         # letters' groups often coincide, and every key and value is a
@@ -207,11 +235,14 @@ class _LanguageCore:
             nxt = []
             for index, group in enumerate(state):
                 tail = tails[index]
-                image = apply(tail)
-                tails[index] = image[-cap:]
+                stepped = tail_step.get(tail)
+                if stepped is None:
+                    image = apply(tail)
+                    stepped = tail_step[tail] = (image[-cap:], windows(image))
+                tails[index] = stepped[0]
                 new_group = step.get(group)
                 if new_group is None:
-                    grown_group = windows(image)
+                    grown_group = set(stepped[1])
                     # a shorter tail is all of sigma^k(a), the group's one word
                     if len(tail) == cap:
                         for word in group:
@@ -261,13 +292,30 @@ class _LanguageCore:
     def _biinfinite_words(self, order: int) -> set[str]:
         vertices = self._admitted_exact_length(order)
         longer = self._admitted_exact_length(order + 1)
-        succ_map: dict[str, list[str]] = {v: [] for v in vertices}
-        pred_map: dict[str, list[str]] = {v: [] for v in vertices}
-        for word in longer:
-            head, tail = word[:-1], word[1:]
-            succ_map[head].append(tail)
-            pred_map[tail].append(head)
-        return biinfinite_path_nodes(vertices, succ_map.__getitem__, pred_map.__getitem__)
+        # the edges are the words of order + 1, from head w[:-1] to tail w[1:]
+        out_degree = Counter(w[:-1] for w in longer)
+        in_degree = Counter(w[1:] for w in longer)
+        letters = self.sub.encode(self.sub.alphabet)
+        queue = [v for v in vertices if not out_degree[v] or not in_degree[v]]
+        removed = set(queue)
+        while queue:
+            node = queue.pop()
+            for x in letters:
+                if node + x in longer:
+                    child = node[1:] + x
+                    if child not in removed:
+                        in_degree[child] -= 1
+                        if not in_degree[child]:
+                            removed.add(child)
+                            queue.append(child)
+                if x + node in longer:
+                    parent = x + node[:-1]
+                    if parent not in removed:
+                        out_degree[parent] -= 1
+                        if not out_degree[parent]:
+                            removed.add(parent)
+                            queue.append(parent)
+        return {v for v in vertices if v not in removed}
 
 
 class _PrimitiveWords:

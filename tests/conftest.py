@@ -150,6 +150,19 @@ def random_minimal_nonprimitive(rng):
             return sub
 
 
+# tame rules that are not minimal, though every legal word to the table
+# bound passes the recurrence search (with constant 8), so that
+# ``random_minimal_nonprimitive`` can draw them; the lattice of closed
+# invariant subspaces refutes them
+NON_MINIMAL_RECURRENT = [
+    "a -> acca\nb -> acb\nc -> c\n",
+    "a -> bca\nb -> bccb\nc -> c\n",
+    "a -> bcb\nb -> bccb\nc -> c\n",
+    "a -> acca\nb -> bca\nc -> c\n",
+    "a -> acb\nb -> bccb\nc -> c\n",
+]
+
+
 def reference_forest_path(graph, tree, start, goal):
     """Signed edge path start -> goal inside the forest, by a breadth-first
     search from scratch: list of (edge, +1/-1)."""

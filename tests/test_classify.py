@@ -6,14 +6,15 @@ from substdyn import corpus
 from substdyn import classify, language
 from substdyn.classify import (WildWitness, _frontier_closure, classify_letters,
                                decide_tameness, find_seed, frontier_maps, is_minimal,
-                               tameness_table_length, wild_periodic_word)
+                               minimality_table_length, tameness_table_length,
+                               wild_periodic_word)
 from substdyn.core import PointedWord, parse_substitution
 from substdyn.corpus import sigma_family
 from substdyn.errors import WildInputError, WitnessError
 from substdyn.language import LanguageTable, periodic_point_search, session, table_for
 
-from conftest import (brute_bounded_letters, brute_iterate, random_minimal_nonprimitive,
-                      random_substitution, retoken)
+from conftest import (NON_MINIMAL_RECURRENT, brute_bounded_letters, brute_iterate,
+                      random_minimal_nonprimitive, random_substitution, retoken)
 
 
 def test_classification_examples(wild_ab):
@@ -146,6 +147,35 @@ def test_is_minimal(fib, wild_ab, fib_handle):
     assert family.verdict == "yes" and family.constant is not None
     empty = is_minimal(parse_substitution("a -> b\nb -> a\n"))
     assert empty.verdict == "no" and "empty" in empty.reason
+
+
+@pytest.mark.parametrize("text", NON_MINIMAL_RECURRENT)
+def test_the_lattice_refutes_minimality_before_the_recurrence(text):
+    sub = parse_substitution(text)
+    table = table_for(sub, minimality_table_length(sub))
+    assert classify._recurrence_constant(table) == 8
+    assert is_minimal(sub, use_cis=False).verdict == "yes"
+    result = is_minimal(sub)
+    assert (result.verdict, result.reason, result.constant) == \
+        ("no", "two distinct nonempty closed invariant subspaces", None)
+    u, v = result.witness
+    assert len(v) == table.max_length and sub.encode(u) not in sub.encode(v)
+
+
+@pytest.mark.parametrize("text", [
+    "c -> c\nb -> acb\na -> acca\n",
+    "c -> c\nb -> bccb\na -> bca\n",
+    "10 -> 10 1 1 10\n0b -> 10 1 0b\n1 -> 1\n",
+], ids=["declared_cba", "declared_cba_2", "multi_char_tokens"])
+def test_minimality_witness_is_the_least_decoded_word(text):
+    # the letters are declared out of their tokens' order, so the coded
+    # strings order the legal words otherwise than their token tuples do
+    sub = parse_substitution(text)
+    u, v = is_minimal(sub).witness
+    table = table_for(sub, minimality_table_length(sub))
+    outside = [w for w in table.legal_coded(table.max_length) if sub.encode(u) not in w]
+    assert v == min(sub.decode(w) for w in outside)
+    assert sub.decode(min(outside)) != v
 
 
 def _reference_pointed_shape_elements(table, classification):

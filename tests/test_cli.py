@@ -8,6 +8,8 @@ import pytest
 from substdyn import apcomplex, cis
 from substdyn.cli import main
 
+from conftest import NON_MINIMAL_RECURRENT
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -379,17 +381,28 @@ def test_analyze_reuses_the_minimality_lattice(capsys, monkeypatch):
         if not report.tame or report.empty_subshift:
             continue
         calls.clear()
-        code, out, _ = run_cli(capsys, "analyze", f"corpus:{name}")
+        code, _, _ = run_cli(capsys, "analyze", f"corpus:{name}")
         assert code == 0, name
         assert sorted(calls) == ["build_complex", "collar", "enumerate_cis"] + \
             ["lattice_for"] * calls.count("lattice_for"), name
-        reason = json.loads(out)["minimality"]["reason"]
-        # the oracle ran exactly where the verdict rests on the lattice
-        assert (calls.count("lattice_for") == 2) == ("subspaces" in reason
-                                                     or "lattice" in reason), name
+        # the oracle reads the lattice first on every non-primitive entry
+        assert (calls.count("lattice_for") == 2) == (not corpus.get(name).is_primitive()), name
         if calls.count("lattice_for") == 2:
             oracle.append(name)
-    assert len(oracle) == 16 and "fib_handle" in oracle
+    assert len(oracle) == 20 and "fib_handle" in oracle
+
+
+@pytest.mark.parametrize("text", NON_MINIMAL_RECURRENT)
+def test_analyze_reads_non_minimal_recurrent_rules_as_not_minimal(text, capsys, tmp_path):
+    # analyze skips primitivization once minimality is refuted
+    path = tmp_path / "rule.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    assert report["minimality"] == {"verdict": "no", "constant": None,
+                                    "reason": "two distinct nonempty closed invariant subspaces"}
+    assert report["primitivization"] is None
 
 
 def test_a_failed_lattice_is_built_once(capsys, monkeypatch):

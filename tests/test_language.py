@@ -770,8 +770,6 @@ def test_leading_windows_match_full_expansion(sub):
 
 
 def test_leading_windows_bound_the_expanded_letters(monkeypatch):
-    # expanding every window of every cap-word returned 246,479 letters
-    # here; the leading windows and the per-letter tails return under 50k
     letters = []
     original = Substitution.apply_coded
 
@@ -780,8 +778,87 @@ def test_leading_windows_bound_the_expanded_letters(monkeypatch):
         letters.append(len(out))
         return out
 
-    monkeypatch.setattr(Substitution, "apply_coded", counting)
-    table = LanguageTable(sigma_family(5), 84)
-    monkeypatch.undo()
-    assert table._cap == 86
-    assert sum(letters) <= 60_000
+    for name, max_length, cap, most_letters, most_calls in [
+        # expanding every window of every cap-word returned 246,479 letters
+        # here; the leading windows and the per-letter tails, each word
+        # expanding its own prefix and each tail stepped every round,
+        # returned 48,969 in 486 calls; one expansion per distinct prefix
+        # and one step per distinct tail return 9,704 in 96
+        ("sigma_5", 84, 86, 12_000, 120),
+        # 24,297 letters in 355 calls before, 7,648 in 131 now; its
+        # pre-period is longer, so stepping every tail each round returns
+        # 11,947 in 156
+        ("quad_fib_bridge", 56, 58, 9_000, 140),
+    ]:
+        sub = CORPUS[name].substitution()
+        letters.clear()
+        monkeypatch.setattr(Substitution, "apply_coded", counting)
+        table = LanguageTable(sub, max_length)
+        monkeypatch.undo()
+        assert table._cap == cap, name
+        assert sum(letters) <= most_letters and len(letters) <= most_calls, name
+
+
+def _reference_vertices(core, order):
+    """The vertices of the core's Rauzy graph at an order that lie on
+    bi-infinite paths, from explicit successor and predecessor lists."""
+    vertices = core._admitted_exact_length(order)
+    succ = {v: [] for v in vertices}
+    pred = {v: [] for v in vertices}
+    for word in core._admitted_exact_length(order + 1):
+        succ[word[:-1]].append(word[1:])
+        pred[word[1:]].append(word[:-1])
+    return reference_biinfinite_path_nodes(sorted(vertices), succ.__getitem__,
+                                           pred.__getitem__)
+
+
+# rules with a fixed letter x -> x, so each has a vertex x...x with a
+# self-loop at some margin; trimming removes vertices of four of them
+# (of legality_drop at margin 1 only), while bounded_limits and cac keep
+# every vertex at these margins
+TRIM_RULES = [
+    ("legality_drop", CORPUS["legality_drop"].substitution()),
+    ("bounded_limits", CORPUS["bounded_limits"].substitution()),
+    ("ab_b", parse_substitution("a -> ab\nb -> b\n")),
+    ("acb_bccb", parse_substitution("a -> acb\nb -> bccb\nc -> c\n")),
+    ("cac", parse_substitution("a -> cac\nc -> c\n")),
+    # its trimming removes vertices whose successors were all removed
+    ("ca_ab", parse_substitution("a -> ca\nb -> ab\nc -> c\n")),
+]
+TRIM_TABLES = ((4, None), (3, 5), (1, 1))
+
+
+def _trimmed_orders(sub):
+    """(order, the core's vertices at it, the core) for both orders of a
+    non-primitive rule's core at each margin in TRIM_TABLES."""
+    for max_length, margin in TRIM_TABLES:
+        table = LanguageTable(sub, max_length, margin=margin)
+        if table.empty_subshift or sub.is_primitive():
+            continue
+        core = table._core
+        for order, vertices in zip((table._cap - 2, table._cap - 1), core.vertices):
+            yield order, vertices, core
+
+
+# the corpus entries among TRIM_RULES are window cases already
+TRIM_CASES = WINDOW_CASES + [(name, sub) for name, sub in TRIM_RULES if name not in CORPUS]
+
+
+@pytest.mark.parametrize("sub", [sub for _, sub in TRIM_CASES],
+                         ids=[name for name, _ in TRIM_CASES])
+def test_trimming_on_degree_counts_matches_the_reference(sub):
+    for order, vertices, core in _trimmed_orders(sub):
+        assert vertices == _reference_vertices(core, order), order
+
+
+def test_trimmed_cases_remove_vertices_and_keep_self_loops():
+    removed, looped = set(), set()
+    for name, sub in TRIM_RULES:
+        for order, vertices, core in _trimmed_orders(sub):
+            if vertices < core._admitted_exact_length(order):
+                removed.add(name)
+            longer = core._admitted_exact_length(order + 1)
+            if any(v == v[0] * order and v + v[0] in longer for v in vertices):
+                looped.add(name)
+    assert removed == {"legality_drop", "ab_b", "acb_bccb", "ca_ab"}
+    assert looped == {name for name, _ in TRIM_RULES}
